@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,8 +24,9 @@ from .errors import (
     QNotZeroError,
     ValidityError,
 )
+from .gram import GramResult, separable_gram
 from .polyalg import MultiPoly, OperatorSpec, apply_operator, homogenize
-from .quadrature import WeightGammaExp, WeightInvExp, WeightMPQ, cone_rule
+from .quadrature import WeightGammaExp, WeightInvExp, WeightMPQ, cone_factors
 from .scalars import factorial_real, gamma_ratio, pochhammer
 from .unipoly import UniPoly
 from .univariate import (
@@ -52,6 +54,10 @@ class ConeFamilyParams:
     family "M": weight (t^2-|x|^2)^(mu-1/2) t^q (1+t)^-(p+q), finite.
     family "N": weight (t^2-|x|^2)^(mu-1/2) t^-p exp(-1/t), finite.
     family "L": weight (t^2-|x|^2)^(mu-1/2) t^beta exp(-t), infinite.
+
+    limit_target marks an L bundle built as the p -> inf limit of the M
+    family at q = beta: its identities hold on the M window
+    q > -2*mu - d instead of the L family's own beta > -d.
     """
 
     d: int
@@ -60,6 +66,7 @@ class ConeFamilyParams:
     p: Optional[float] = None
     q: Optional[float] = None
     beta: Optional[float] = None
+    limit_target: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -95,9 +102,13 @@ class ConeFamilyParams:
                     "p > 2N + 2*mu + d",
                     f"p = {self.p}, N = {n}, mu = {self.mu}, d = {self.d}",
                 )
-        else:
-            if self.beta <= -self.d:
-                raise ValidityError("beta > -d", f"beta = {self.beta}, d = {self.d}")
+        elif self.limit_target:
+            if self.beta <= -2 * self.mu - self.d:
+                raise ValidityError(
+                    "q > -2*mu - d", f"q = {self.beta}, mu = {self.mu}, d = {self.d}"
+                )
+        elif self.beta <= -self.d:
+            raise ValidityError("beta > -d", f"beta = {self.beta}, d = {self.d}")
 
     @property
     def max_degree(self) -> Optional[int]:
@@ -210,16 +221,6 @@ def expected_sq_norm(params: ConeFamilyParams, element: ConeBasisElement) -> flo
     return cone_norm(params, element.m, element.n) * element.ball.sq_norm
 
 
-@dataclass(frozen=True)
-class GramResult:
-    elements: tuple
-    matrix: np.ndarray
-    expected_diag: np.ndarray
-    max_offdiag: float  # normalized by sqrt of expected diagonal products
-    max_diag_rel: float
-    unit_norm_dev: float  # |<1,1> - 1|
-
-
 def _radial_values(params: ConeFamilyParams, n: int, m: int, ts: np.ndarray) -> np.ndarray:
     """Radial factor evaluated by the forward recurrence, which stays
     accurate where the coefficient form cancels (large p, small t)."""
@@ -237,30 +238,21 @@ def cone_gram(
     """Full Gram matrix of all basis elements of degree <= n_max under the
     normalized cone inner product, by exact separated quadrature.
 
-    Elements are evaluated in factorized form: the radial factor through
-    the three-term recurrence, the homogenized angular factor from its
-    coefficients; both are well conditioned on the rule's nodes."""
+    The radial factors go through the three-term recurrence at the t-nodes,
+    the ball factors P_{m,k} through their coefficients at the ball nodes;
+    gram.separable_gram contracts the two small Grams."""
     params.require_valid(n_max)
     elements = [
         e for n in range(n_max + 1) for e in cone_basis(params, n, convention)
     ]
-    rule = cone_rule(params.d, params.mu, params.radial_weight(), 2 * n_max, normalized=True)
-    ts = rule.points[:, -1]
-    vals = np.vstack(
-        [
-            _radial_values(params, e.n, e.m, ts) * e.angular.evaluate_many(rule.points)
-            for e in elements
-        ]
+    factors = cone_factors(params.d, params.mu, params.radial_weight(), 2 * n_max)
+    return separable_gram(
+        elements,
+        factors,
+        partial(_radial_values, params),
+        lambda e: ((e.m, e.k), e.ball.poly),
+        [expected_sq_norm(params, e) for e in elements],
     )
-    gram = (vals * rule.weights) @ vals.T
-    expected = np.array([expected_sq_norm(params, e) for e in elements])
-    scale = np.sqrt(np.outer(expected, expected))
-    normalized = gram / scale
-    off = normalized - np.diag(np.diag(normalized))
-    max_off = float(np.max(np.abs(off))) if len(elements) > 1 else 0.0
-    max_diag_rel = float(np.max(np.abs(np.diag(gram) - expected) / expected))
-    unit_dev = abs(float(rule.total_weight) - 1.0)
-    return GramResult(tuple(elements), gram, expected, max_off, max_diag_rel, unit_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +521,16 @@ def limit_to_laguerre(
     return LimitReport(n, m, tuple(float(p) for p in p_grid), tuple(deviations), exponent)
 
 
-def laguerre_cone_checks(d: int, mu: float, n_max: int, beta: float = 0.0):
+def laguerre_cone_checks(
+    d: int, mu: float, n_max: int, beta: float = 0.0, limit_target: bool = False
+):
     """Operator and recurrence residuals for the Laguerre cone family.
 
     Returns a list of (name, relative residual) pairs; all should sit at
-    rounding level.
+    rounding level.  limit_target checks the family as the limit of the M
+    family at q = beta, on the M window (see ConeFamilyParams).
     """
-    params = ConeFamilyParams(d, mu, "L", beta=beta)
+    params = ConeFamilyParams(d, mu, "L", beta=beta, limit_target=limit_target)
     out = []
     if beta == 0.0:
         for n in range(n_max + 1):

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, QNotMinusOneError, UnsupportedDimension, ValidityError
+from .gram import GramResult, separable_gram
 from .harmonics import dim_harmonic, harmonic_basis
 from .polyalg import MultiPoly
-from .quadrature import WeightGammaExp, WeightInvExp, WeightMPQ, surface_rule
+from .quadrature import WeightGammaExp, WeightInvExp, WeightMPQ, surface_factors
 from .scalars import factorial_real, gamma_ratio, pochhammer
 from .unipoly import UniPoly
 from .univariate import (
@@ -169,16 +171,6 @@ def surface_norm(params: SurfaceParams, m: int, n: int) -> float:
     return ratio * pochhammer(alpha_l + 1, n - m) / factorial_real(n - m)
 
 
-@dataclass(frozen=True)
-class SurfaceGramResult:
-    elements: tuple
-    matrix: np.ndarray
-    expected_diag: np.ndarray
-    max_offdiag: float
-    max_diag_rel: float
-    unit_norm_dev: float
-
-
 def _radial_values(params: SurfaceParams, n: int, m: int, ts: np.ndarray) -> np.ndarray:
     """Radial factor by forward recurrence; accurate where the coefficient
     form cancels (large p, small t)."""
@@ -190,32 +182,22 @@ def _radial_values(params: SurfaceParams, n: int, m: int, ts: np.ndarray) -> np.
     return eval_laguerre(n - m, 2 * m + params.beta + d - 1, ts)
 
 
-def surface_gram(params: SurfaceParams, n_max: int) -> SurfaceGramResult:
+def surface_gram(params: SurfaceParams, n_max: int) -> GramResult:
     """Gram matrix of all elements of degree <= n_max under the normalized
     surface inner product, by the x = xi t separated quadrature.
 
-    Radial factors are evaluated through the three-term recurrence, the
-    harmonic factors from their coefficients."""
+    The radial factors go through the three-term recurrence at the t-nodes,
+    the harmonics Y_{m,l} through their coefficients at the sphere nodes;
+    gram.separable_gram contracts the two small Grams."""
     params.require_valid(n_max)
     elements = [e for n in range(n_max + 1) for e in surface_basis(params, n)]
-    rule = surface_rule(params.d, params.radial_weight(), 2 * n_max, normalized=True)
-    ts = rule.points[:, -1]
-    vals = np.vstack(
-        [
-            _radial_values(params, e.n, e.m, ts) * e.harmonic.evaluate_many(rule.points)
-            for e in elements
-        ]
-    )
-    gram = (vals * rule.weights) @ vals.T
-    expected = np.array([surface_norm(params, e.m, e.n) for e in elements])
-    scale = np.sqrt(np.outer(expected, expected))
-    normalized = gram / scale
-    off = normalized - np.diag(np.diag(normalized))
-    max_off = float(np.max(np.abs(off))) if len(elements) > 1 else 0.0
-    max_diag_rel = float(np.max(np.abs(np.diag(gram) - expected) / expected))
-    unit_dev = abs(float(rule.total_weight) - 1.0)
-    return SurfaceGramResult(
-        tuple(elements), gram, expected, max_off, max_diag_rel, unit_dev
+    factors = surface_factors(params.d, params.radial_weight(), 2 * n_max)
+    return separable_gram(
+        elements,
+        factors,
+        partial(_radial_values, params),
+        lambda e: ((e.m, e.l), e.harmonic),
+        [surface_norm(params, e.m, e.n) for e in elements],
     )
 
 

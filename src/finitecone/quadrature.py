@@ -15,7 +15,11 @@ IntegrabilityError carrying the violated inequality.
 Product rules for the ball, the solid cone and the conic surface are
 returned with *normalized* weights (total mass one against the normalized
 measure), so that large parameters never overflow; the raw entry points
-multiply back the closed-form total mass.
+multiply back the closed-form total mass.  The cone and surface rules are
+tensor products of a t-rule with a ball or sphere rule: `cone_factors` and
+`surface_factors` return that pair, with the integrability window checked
+in one place, and the Gram contraction uses it without materializing the
+product.
 """
 
 from __future__ import annotations
@@ -310,15 +314,9 @@ def ball_rule(d: int, mu: float, max_degree: int, normalized: bool = True) -> Pr
     srule = sphere_rule(d, max_degree)
     n_radial = max_degree // 2 + 1
     u_nodes, u_weights = gauss_jacobi(n_radial, mu - 0.5, (d - 2) / 2.0, normalized=True)
-    pts = []
-    wts = []
-    for u, wu in zip(u_nodes, u_weights):
-        r = math.sqrt((1.0 + u) / 2.0)
-        for xi, wxi in zip(srule.points, srule.weights):
-            pts.append([r * c for c in xi[:d]])
-            wts.append(wu * wxi)
-    points = np.asarray(pts)
-    weights = np.asarray(wts)
+    r = np.sqrt((1.0 + u_nodes) / 2.0)
+    points = (r[:, None, None] * srule.points[None]).reshape(-1, d)
+    weights = np.outer(u_weights, srule.weights).ravel()
     if not normalized:
         weights = weights / ball_mass_normalization(d, mu)
     return ProductRule(
@@ -332,34 +330,67 @@ def ball_mass_normalization(d: int, mu: float) -> float:
     return gamma_ratio([mu + (d + 1) / 2.0], [mu + 0.5]) / math.pi ** (d / 2.0)
 
 
-def _cone_weight_check(weight, d: int, mu: float, max_degree: int) -> None:
-    s = d + 2 * mu - 1
-    eff = weight.absorb_power(s)
-    if isinstance(weight, WeightMPQ):
+@dataclass(frozen=True)
+class FactorRules:
+    """The two factors of a solid-cone or conic-surface rule.
+
+    The point (x, t) = (t y, t) runs over the t-nodes crossed with the
+    angular points y: the unit ball for the solid cone, the unit sphere for
+    the surface.  The t-rule carries the radial weight with the Jacobian
+    power of t absorbed; both factors are normalized to mass one, and
+    log_raw_mass is the log of the unnormalized measure's total mass.
+    """
+
+    t_rule: QuadRule
+    angular: ProductRule
+    log_raw_mass: float
+    exactness_degree: int
+    descriptor: str
+
+    @property
+    def total_weight(self) -> float:
+        """Mass of the tensor-product rule, summed over its points."""
+        return float(np.sum(np.outer(self.t_rule.weights, self.angular.weights)))
+
+    def tensor(self, normalized: bool = True) -> ProductRule:
+        """The materialized product rule, t-nodes outermost."""
+        t = np.asarray(self.t_rule.nodes)
+        y = self.angular.points
+        dim = y.shape[1]
+        points = np.empty((len(t), len(y), dim + 1))
+        points[:, :, :dim] = t[:, None, None] * y[None, :, :]
+        points[:, :, dim] = t[:, None]
+        weights = np.outer(self.t_rule.weights, self.angular.weights).ravel()
+        if not normalized:
+            weights = weights * math.exp(self.log_raw_mass)
+        return ProductRule(
+            points.reshape(-1, dim + 1), weights, self.exactness_degree,
+            self.descriptor + (" [normalized]" if normalized else ""),
+        )
+
+
+def _radial_factor(weight, shift: float, max_degree: int, plus: str, minus: str, context: str):
+    """Normalized t-rule for weight(t) t^shift and its log raw mass, after
+    the integrability window of the cone or surface measure:
+    p > deg(f) + plus, q > minus, beta > minus."""
+    eff = weight.absorb_power(shift)
+    if isinstance(weight, (WeightMPQ, WeightInvExp)):
         if eff.p <= max_degree + 1:
             raise IntegrabilityError(
-                "p > deg(f) + 2*mu + d", f"p = {weight.p}, deg = {max_degree}, mu = {mu}, d = {d}"
+                f"p > deg(f) + {plus}", f"p = {weight.p}, deg = {max_degree}, {context}"
             )
-        if eff.q <= -1:
-            raise IntegrabilityError(
-                "q > -2*mu - d", f"q = {weight.q}, mu = {mu}, d = {d}"
-            )
-    elif isinstance(weight, WeightInvExp):
-        if eff.p <= max_degree + 1:
-            raise IntegrabilityError(
-                "p > deg(f) + 2*mu + d", f"p = {weight.p}, deg = {max_degree}, mu = {mu}, d = {d}"
-            )
+        if isinstance(weight, WeightMPQ) and eff.q <= -1:
+            raise IntegrabilityError(f"q > {minus}", f"q = {weight.q}, {context}")
     elif isinstance(weight, WeightGammaExp):
         if eff.alpha <= -1:
-            raise IntegrabilityError(
-                "beta > -2*mu - d", f"beta = {weight.alpha}, mu = {mu}, d = {d}"
-            )
+            raise IntegrabilityError(f"beta > {minus}", f"beta = {weight.alpha}, {context}")
     else:
         raise DomainError(f"unknown radial weight {type(weight).__name__}")
+    return eff.rule(max_degree, normalized=True), eff.log_mass()
 
 
-def cone_rule(d: int, mu: float, weight, max_degree: int, normalized: bool = True) -> ProductRule:
-    """Product rule on the solid cone for w(t) (t^2 - |x|^2)^(mu - 1/2).
+def cone_factors(d: int, mu: float, weight, max_degree: int) -> FactorRules:
+    """Factors of the solid-cone rule for w(t) (t^2 - |x|^2)^(mu - 1/2).
 
     Separation x = t y with y in the unit ball: the radial factor absorbs
     t^(d + 2mu - 1) into the weight, the ball rule handles the inner
@@ -367,63 +398,39 @@ def cone_rule(d: int, mu: float, weight, max_degree: int, normalized: bool = Tru
     """
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
-    _cone_weight_check(weight, d, mu, max_degree)
-    eff = weight.absorb_power(d + 2 * mu - 1)
-    t_rule = eff.rule(max_degree, normalized=True)
-    b_rule = ball_rule(d, mu, max_degree, normalized=True)
-    pts = []
-    wts = []
-    for t, wt in zip(t_rule.nodes, t_rule.weights):
-        for y, wy in zip(b_rule.points, b_rule.weights):
-            pts.append([t * c for c in y] + [t])
-            wts.append(wt * wy)
-    points = np.asarray(pts)
-    weights = np.asarray(wts)
-    if not normalized:
-        weights = weights * math.exp(eff.log_mass()) / ball_mass_normalization(d, mu)
-    return ProductRule(
-        points, weights, max_degree,
-        f"solid cone d={d} mu={mu} w={weight}" + (" [normalized]" if normalized else ""),
+    t_rule, log_mass = _radial_factor(
+        weight, d + 2 * mu - 1, max_degree, "2*mu + d", "-2*mu - d", f"mu = {mu}, d = {d}"
+    )
+    return FactorRules(
+        t_rule, ball_rule(d, mu, max_degree, normalized=True),
+        log_mass - math.log(ball_mass_normalization(d, mu)), max_degree,
+        f"solid cone d={d} mu={mu} w={weight}",
     )
 
 
-def surface_rule(d: int, weight, max_degree: int, normalized: bool = True) -> ProductRule:
-    """Product rule on the conic surface for w(t) dsigma.
+def surface_factors(d: int, weight, max_degree: int) -> FactorRules:
+    """Factors of the conic-surface rule for w(t) dsigma.
 
     Change of variables x = xi t turns the surface integral into the
     t-integral of t^(d-1) w(t) times the spherical average.
     """
     from .harmonics import sphere_rule, surface_area
 
-    eff = weight.absorb_power(d - 1)
-    try:
-        eff.check_degree(max_degree)
-    except IntegrabilityError:
-        if isinstance(weight, WeightMPQ):
-            raise IntegrabilityError(
-                "p > deg(f) + d", f"p = {weight.p}, deg = {max_degree}, d = {d}"
-            ) from None
-        if isinstance(weight, WeightInvExp):
-            raise IntegrabilityError(
-                "p > deg(f) + d", f"p = {weight.p}, deg = {max_degree}, d = {d}"
-            ) from None
-        raise
-    t_rule = eff.rule(max_degree, normalized=True)
-    s_rule = sphere_rule(d, max_degree)
-    pts = []
-    wts = []
-    for t, wt in zip(t_rule.nodes, t_rule.weights):
-        for xi, wxi in zip(s_rule.points, s_rule.weights):
-            pts.append([t * c for c in xi[:d]] + [t])
-            wts.append(wt * wxi)
-    points = np.asarray(pts)
-    weights = np.asarray(wts)
-    if not normalized:
-        weights = weights * math.exp(eff.log_mass()) * surface_area(d)
-    return ProductRule(
-        points, weights, max_degree,
-        f"conic surface d={d} w={weight}" + (" [normalized]" if normalized else ""),
+    t_rule, log_mass = _radial_factor(weight, d - 1, max_degree, "d", "-d", f"d = {d}")
+    return FactorRules(
+        t_rule, sphere_rule(d, max_degree), log_mass + math.log(surface_area(d)),
+        max_degree, f"conic surface d={d} w={weight}",
     )
+
+
+def cone_rule(d: int, mu: float, weight, max_degree: int, normalized: bool = True) -> ProductRule:
+    """Product rule on the solid cone: the tensor product of cone_factors."""
+    return cone_factors(d, mu, weight, max_degree).tensor(normalized)
+
+
+def surface_rule(d: int, weight, max_degree: int, normalized: bool = True) -> ProductRule:
+    """Product rule on the conic surface: the tensor product of surface_factors."""
+    return surface_factors(d, weight, max_degree).tensor(normalized)
 
 
 def integrate_ball(d: int, mu: float, f) -> float:

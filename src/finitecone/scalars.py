@@ -13,8 +13,6 @@ import math
 
 from .errors import DomainError, PoleError
 
-_INT_TOL = 0.0  # pole checks are exact: x counts as integer only if x == round(x)
-
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and float(x) == float(round(x))

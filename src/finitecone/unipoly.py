@@ -108,11 +108,6 @@ class UniPoly:
                 parts.append(f"{c:g}*t^{i}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def close_to(self, other: "UniPoly", rel: float = 1e-12) -> bool:
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        diff = self - other
-        return diff.max_abs() <= rel * scale
-
 
 def fsum_build(pairs, length: int) -> UniPoly:
     """Build a polynomial from (degree, value) contributions with exact

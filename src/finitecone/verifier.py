@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -153,6 +154,9 @@ class _Collector:
 
     def add_exact(self, name, identity, detail=""):
         self.checks.append(CheckResult(name, identity, "exact", None, "exact", detail))
+
+    def add_skipped(self, name, identity, detail):
+        self.checks.append(CheckResult(name, identity, None, None, "not-applicable", detail))
 
     def add_documented(self, name, identity, metric, detail):
         self.checks.append(CheckResult(name, identity, metric, None, "documented", detail))
@@ -350,27 +354,24 @@ def _gram_checks(desc, col: _Collector, th):
 
         params = _cone_params(desc)
 
-        def run():
-            res = cone_gram(params, n_max, desc.get("convention", "orthonormal"))
-            col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
-            col.add("gram/offdiag-max", "orthogonality-gram", res.max_offdiag, th["gram_offdiag"])
-            col.add("gram/diag-rel-max", "orthogonality-gram", res.max_diag_rel, th["gram_diag_rel"])
-            _diag_rows(col, res, th)
-
-        col.guarded("gram", "orthogonality-gram", run)
+        def gram():
+            return cone_gram(params, n_max, desc.get("convention", "orthonormal"))
     else:
         from .cone_surface import surface_gram
 
         params = _surf_params(desc)
 
-        def run():
-            res = surface_gram(params, n_max)
-            col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
-            col.add("gram/offdiag-max", "orthogonality-gram", res.max_offdiag, th["gram_offdiag"])
-            col.add("gram/diag-rel-max", "orthogonality-gram", res.max_diag_rel, th["gram_diag_rel"])
-            _diag_rows(col, res, th)
+        def gram():
+            return surface_gram(params, n_max)
 
-        col.guarded("gram", "orthogonality-gram", run)
+    def run():
+        res = gram()
+        col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
+        col.add("gram/offdiag-max", "orthogonality-gram", res.max_offdiag, th["gram_offdiag"])
+        col.add("gram/diag-rel-max", "orthogonality-gram", res.max_diag_rel, th["gram_diag_rel"])
+        _diag_rows(col, res, th)
+
+    col.guarded("gram", "orthogonality-gram", run)
 
 
 def _ode_checks(desc, col: _Collector, th):
@@ -541,6 +542,13 @@ def _recurrence_checks(desc, col: _Collector, th):
         params = _cone_params(desc)
 
         def run():
+            if n_max < 2:
+                params.require_valid(n_max)
+                col.add_skipped(
+                    "recurrence/skipped", "solid-three-term-recurrence",
+                    "the three-term recurrence needs n_max >= 2",
+                )
+                return
             worst_stated = 0.0
             for m in range(n_max):
                 for n in range(m + 1, n_max):
@@ -595,7 +603,9 @@ def _limit_checks(desc, col: _Collector, th):
                         f"limit/n{n}.m{m}", "laguerre-limit", rep.exponent, lo, hi,
                         detail=f"deviations {rep.deviations}",
                     )
-            checks = laguerre_cone_checks(params.d, params.mu, min(n_max, 4), beta=params.q)
+            checks = laguerre_cone_checks(
+                params.d, params.mu, min(n_max, 4), beta=params.q, limit_target=True
+            )
             for name, value in checks:
                 tag = "laguerre-cone-pde" if name.startswith("laguerre-pde") else "laguerre-cone-recurrence"
                 col.add(f"limit/target/{name}", tag, value, th["residual_rel"])
@@ -641,6 +651,46 @@ _SUITE_FUNCS = {
 }
 
 
+# parameters each family cannot do without; d and mu have defaults
+_REQUIRED = {
+    "uni-M": ("p", "q"),
+    "uni-N": ("p",),
+    "cone-M": ("p", "q"),
+    "cone-N": ("p",),
+    "cone-L": ("beta",),
+    "surf-M": ("p", "q"),
+    "surf-N": ("p",),
+    "surf-L": ("beta",),
+}
+
+
+def _check_descriptor(desc) -> None:
+    """Reject a malformed descriptor with a DomainError naming the field:
+    a missing required parameter, a p, q, beta or mu that is not a finite
+    real number, or an n_max that is not a non-negative int.  Other keys
+    pass through."""
+    family = desc["family"]
+    if desc.get("n_max") is None:
+        raise DomainError("the descriptor needs n_max")
+    required = _REQUIRED[family]
+    for key in required:
+        if desc.get(key) is None:
+            raise DomainError(f"{family} needs {' and '.join(required)}; {key} is missing")
+    for key in ("p", "q", "beta", "mu"):
+        value = desc.get(key)
+        if value is None:
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise DomainError(f"{key} must be a finite real number, got {value!r}")
+    n_max = desc["n_max"]
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise DomainError(f"n_max must be a non-negative int, got {n_max!r}")
+
+
 def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
     """Execute the named check suite for the descriptor and assemble a
     Report.  suite "all" runs every suite applicable to the family."""
@@ -649,6 +699,7 @@ def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
     family = descriptor.get("family")
     if family not in _FAMILY_SUITES:
         raise DomainError(f"unknown family {family!r}; choose from {tuple(_FAMILY_SUITES)}")
+    _check_descriptor(descriptor)
     th = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         th.update(thresholds)
@@ -678,10 +729,7 @@ def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
             ):
                 skip = "the surface identities assume d >= 2; d = 1 is construction-only"
             if skip:
-                col.checks.append(
-                    CheckResult(f"{s}/skipped", "eigenvalue-restriction", None, None,
-                                "not-applicable", skip)
-                )
+                col.add_skipped(f"{s}/skipped", "eigenvalue-restriction", skip)
                 continue
         _SUITE_FUNCS[s](descriptor, col, th)
     desc = dict(descriptor)

@@ -2,9 +2,12 @@
 report determinism and serialization."""
 
 import json
+import re
 
 import pytest
 
+from finitecone.cli import main
+from finitecone.cone_solid import laguerre_cone_checks
 from finitecone.errors import DegenerateDataError, DomainError, ValidityError
 from finitecone.verifier import (
     DEFAULT_THRESHOLDS,
@@ -165,3 +168,64 @@ def test_default_thresholds_present():
 def test_report_passed_logic():
     rep = Report({}, {}, [], {})
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("cone-M", {"p": 30.0, "q": 0.0}), ("cone-N", {"p": 30.0}), ("cone-L", {"beta": 0.0})],
+)
+@pytest.mark.parametrize("n_max", (0, 1))
+def test_recurrence_below_degree_two_is_reported_skipped(family, params, n_max):
+    desc = dict(params, family=family, d=2, mu=0.5, n_max=n_max)
+    for suite in ("all", "recurrence"):
+        rep = run_suite(suite, desc)
+        assert rep.passed
+        entries = [(c.name, c.verdict, c.detail) for c in rep.checks
+                   if c.name.startswith("recurrence")]
+        assert entries == [
+            ("recurrence/skipped", "not-applicable", "the three-term recurrence needs n_max >= 2")
+        ]
+
+
+@pytest.mark.parametrize("mu,d,q", [(1.0, 2, -2.5), (1.5, 3, -5.5), (0.7, 1, -2.1)])
+def test_limit_target_holds_on_the_m_window(mu, d, q):
+    # -2mu - d < q <= -d: inside the M window, outside the L family's own
+    desc = {"family": "cone-M", "d": d, "mu": mu, "p": 30.0, "q": q, "n_max": 2}
+    for suite in ("all", "limit"):
+        rep = run_suite(suite, desc)
+        assert rep.passed
+        assert any(c.name.startswith("limit/target/") for c in rep.checks)
+
+
+def test_laguerre_cone_family_keeps_its_window():
+    desc = {"family": "cone-L", "d": 2, "mu": 1.0, "beta": -2.5, "n_max": 2}
+    for suite in ("all", "recurrence"):
+        with pytest.raises(ValidityError, match=r"beta > -d"):
+            run_suite(suite, desc)
+    with pytest.raises(ValidityError, match=r"beta > -d"):
+        laguerre_cone_checks(2, 1.0, 2, beta=-2.5)
+    # as a limit target the family takes the M window, and rejects below it
+    assert laguerre_cone_checks(2, 1.0, 2, beta=-2.5, limit_target=True)
+    with pytest.raises(ValidityError, match=r"q > -2\*mu - d"):
+        laguerre_cone_checks(2, 1.0, 2, beta=-4.5, limit_target=True)
+
+
+_MALFORMED = [
+    ("api", {"family": "cone-N", "d": 2, "mu": 0.5, "p": float("nan"), "n_max": 2}, "p"),
+    ("api", {"family": "cone-N", "d": 2, "mu": 0.5, "p": float("inf"), "n_max": 2}, "p"),
+    ("cli", ["--family", "surf-N", "-d", "2", "-p", "nan", "-n", "2"], "p"),
+    ("api", {"family": "uni-M", "p": 30.0, "n_max": 2}, "q"),
+    ("api", {"family": "cone-M", "d": 2, "mu": 0.5, "p": "30", "q": 0.0, "n_max": 2}, "p"),
+    ("cli", ["--family", "cone-N", "-d", "2", "-p", "30", "-n", "-1"], "n_max"),
+]
+
+
+@pytest.mark.parametrize("via,payload,field", _MALFORMED)
+def test_malformed_descriptor_is_a_domain_error_naming_the_field(via, payload, field, capsys):
+    named = rf"\b{field} (must|is missing)"
+    if via == "api":
+        with pytest.raises(DomainError, match=named):
+            run_suite("all", payload)
+    else:
+        assert main(["verify", *payload]) == 2
+        assert re.search(named, capsys.readouterr().err)
