@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import DomainError, FiniteConeError
-from .verifier import DEFAULT_THRESHOLDS, SUITES, run_suite
+from .verifier import DEFAULT_THRESHOLDS, SUITES, parse_descriptor, run_suite
 
 FAMILIES = ("uni-M", "uni-N", "cone-M", "cone-N", "cone-L", "surf-M", "surf-N", "surf-L")
 
@@ -68,40 +68,23 @@ def _descriptor(args) -> dict:
 
 def _build_elements(args):
     """Family-dispatched basis construction for tabulate/eval."""
-    family = args.family
-    if family.startswith("uni"):
-        from .univariate import MParams, NParams, coeffs_m, coeffs_n
+    spec = parse_descriptor(_descriptor(args))
+    params, n_max = spec.params, spec.n_max
+    if args.family.startswith("uni"):
+        from .univariate import coeffs_m, coeffs_n
 
-        if family == "uni-M":
-            if args.p is None or args.q is None:
-                raise DomainError("uni-M needs -p and -q")
-            params = MParams(args.p, args.q)
-            params.require_valid(args.n_max)
-            return [(f"n{n}", coeffs_m(n, params)) for n in range(args.n_max + 1)]
-        if args.p is None:
-            raise DomainError("uni-N needs -p")
-        params = NParams(args.p)
-        params.require_valid(args.n_max)
-        return [(f"n{n}", coeffs_n(n, params)) for n in range(args.n_max + 1)]
-    if family.startswith("cone"):
-        from .cone_solid import ConeFamilyParams, cone_basis
+        params.require_valid(n_max)
+        build = coeffs_m if args.family == "uni-M" else coeffs_n
+        return [(f"n{n}", build(n, params)) for n in range(n_max + 1)]
+    if args.family.startswith("cone"):
+        from .cone_solid import cone_basis
 
-        params = ConeFamilyParams(
-            args.dim, args.mu, family.split("-")[1], p=args.p, q=args.q, beta=args.beta
-        )
-        out = []
-        for n in range(args.n_max + 1):
-            for el in cone_basis(params, n, args.convention):
-                out.append((el.label, el.poly))
-        return out
-    from .cone_surface import SurfaceParams, surface_basis
+        elements = [el for n in range(n_max + 1) for el in cone_basis(params, n, spec.convention)]
+    else:
+        from .cone_surface import surface_basis
 
-    params = SurfaceParams(args.dim, family.split("-")[1], p=args.p, q=args.q, beta=args.beta)
-    out = []
-    for n in range(args.n_max + 1):
-        for el in surface_basis(params, n):
-            out.append((el.label, el.poly))
-    return out
+        elements = [el for n in range(n_max + 1) for el in surface_basis(params, n)]
+    return [(el.label, el.poly) for el in elements]
 
 
 def cmd_tabulate(args) -> int:

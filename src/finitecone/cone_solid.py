@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,38 +26,24 @@ from .errors import (
 )
 from .gram import GramResult, separable_gram
 from .polyalg import MultiPoly, OperatorSpec, apply_operator, homogenize
-from .quadrature import WeightGammaExp, WeightInvExp, WeightMPQ, cone_factors
-from .scalars import factorial_real, gamma_ratio, pochhammer
+from .quadrature import Shift, cone_factors, solid_shift
+from .scalars import factorial_real, gamma_ratio
 from .unipoly import UniPoly
-from .univariate import (
-    MParams,
-    NParams,
-    coeffs_laguerre,
-    coeffs_m,
-    coeffs_m_rodrigues,
-    coeffs_n,
-    coeffs_n_rodrigues,
-    eval_laguerre,
-    eval_m,
-    eval_n,
-    norm_m,
-    norm_n,
-)
-
-FAMILIES = ("M", "N", "L")
+from .univariate import ShiftedRadial
 
 
 @dataclass(frozen=True)
-class ConeFamilyParams:
+class ConeFamilyParams(ShiftedRadial):
     """Validated parameter bundle for a solid-cone family.
 
     family "M": weight (t^2-|x|^2)^(mu-1/2) t^q (1+t)^-(p+q), finite.
     family "N": weight (t^2-|x|^2)^(mu-1/2) t^-p exp(-1/t), finite.
     family "L": weight (t^2-|x|^2)^(mu-1/2) t^beta exp(-t), infinite.
 
-    limit_target marks an L bundle built as the p -> inf limit of the M
-    family at q = beta: its identities hold on the M window
-    q > -2*mu - d instead of the L family's own beta > -d.
+    The radial factors are shifted by c = 2*mu + d - 1.  The L
+    family keeps its own window beta > -d; limit_target marks an L bundle
+    built as the p -> inf limit of the M family at q = beta, whose
+    identities hold on the M window q > -2*mu - d instead.
     """
 
     d: int
@@ -68,76 +54,30 @@ class ConeFamilyParams:
     beta: Optional[float] = None
     limit_target: bool = False
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.family == "M" and (self.p is None or self.q is None):
-            raise DomainError("M family needs p and q")
-        if self.family == "N" and self.p is None:
-            raise DomainError("N family needs p")
-        if self.family == "L" and self.beta is None:
-            raise DomainError("L family needs beta")
-
-    @property
-    def alpha(self) -> float:
-        return self.mu + (self.d - 1) / 2.0
+    @cached_property
+    def shift(self) -> Shift:
+        return solid_shift(self.d, self.mu)
 
     def require_valid(self, n: int) -> None:
         """Validity window for orthogonality up to degree n."""
         if self.mu <= -0.5:
             raise ValidityError("mu > -1/2", f"mu = {self.mu}")
-        if self.family == "M":
-            if self.p <= 2 * n + 2 * self.mu + self.d:
-                raise ValidityError(
-                    "p > 2N + 2*mu + d",
-                    f"p = {self.p}, N = {n}, mu = {self.mu}, d = {self.d}",
-                )
-            if self.q <= -2 * self.mu - self.d:
-                raise ValidityError(
-                    "q > -2*mu - d", f"q = {self.q}, mu = {self.mu}, d = {self.d}"
-                )
-        elif self.family == "N":
-            if self.p <= 2 * n + 2 * self.mu + self.d:
-                raise ValidityError(
-                    "p > 2N + 2*mu + d",
-                    f"p = {self.p}, N = {n}, mu = {self.mu}, d = {self.d}",
-                )
+        if self.family != "L":
+            super().require_valid(n)
         elif self.limit_target:
-            if self.beta <= -2 * self.mu - self.d:
-                raise ValidityError(
-                    "q > -2*mu - d", f"q = {self.beta}, mu = {self.mu}, d = {self.d}"
-                )
+            self.require_shape(self.beta, "q")
         elif self.beta <= -self.d:
             raise ValidityError("beta > -d", f"beta = {self.beta}, d = {self.d}")
 
-    @property
-    def max_degree(self) -> Optional[int]:
-        """Finite-orthogonality ceiling; None when unbounded (L family)."""
-        if self.family == "L":
-            return None
-        n = math.ceil((self.p - 2 * self.mu - self.d) / 2) - 1
-        while self.p <= 2 * n + 2 * self.mu + self.d:
-            n -= 1
-        return n
-
-    def radial_weight(self):
-        if self.family == "M":
-            return WeightMPQ(self.p, self.q)
-        if self.family == "N":
-            return WeightInvExp(self.p)
-        return WeightGammaExp(self.beta)
-
     def normalization(self) -> float:
         """Constant b making <1,1> = 1 for the cone inner product."""
-        two_a = 2 * self.alpha
+        c = self.shift.c
         b_ball = ball_normalization(self.d, self.mu)
         if self.family == "M":
-            return b_ball * gamma_ratio(
-                [self.p + self.q], [self.p - two_a - 1, self.q + two_a + 1]
-            )
+            return b_ball * gamma_ratio([self.p + self.q], [self.p - c - 1, self.q + c + 1])
         if self.family == "N":
-            return b_ball / math.gamma(self.p - two_a - 1)
-        return b_ball / math.gamma(self.beta + two_a + 1)
+            return b_ball / math.gamma(self.p - c - 1)
+        return b_ball / math.gamma(self.beta + c + 1)
 
 
 @dataclass(frozen=True)
@@ -160,28 +100,12 @@ def cone_dimension(d: int, n: int) -> int:
     return math.comb(n + d, n)
 
 
-def _radial(params: ConeFamilyParams, n: int, m: int, source: str) -> UniPoly:
-    two_a = 2 * params.alpha
-    if params.family == "M":
-        sub = MParams(params.p - two_a - 2 * m, params.q + two_a + 2 * m)
-        return (coeffs_m if source == "recurrence" else coeffs_m_rodrigues)(n - m, sub)
-    if params.family == "N":
-        sub = NParams(params.p - two_a - 2 * m)
-        return (coeffs_n if source == "recurrence" else coeffs_n_rodrigues)(n - m, sub)
-    return coeffs_laguerre(n - m, 2 * m + 2 * params.mu + params.beta + params.d - 1)
-
-
-def cone_basis(
-    params: ConeFamilyParams,
-    n: int,
-    convention: str = "orthonormal",
-    radial_source: str = "recurrence",
-):
+def cone_basis(params: ConeFamilyParams, n: int, convention: str = "orthonormal"):
     """All degree-n basis elements, one per (m, ball index), 0 <= m <= n."""
     params.require_valid(n)
     out = []
     for m in range(n + 1):
-        radial = _radial(params, n, m, radial_source)
+        radial = params.radial(n, m)
         bb = ball_basis(params.d, params.mu, m, convention)
         rad_mp = MultiPoly.from_unipoly_t(radial, params.d)
         for k, belem in enumerate(bb.elements):
@@ -197,39 +121,13 @@ def cone_basis(
 def cone_norm(params: ConeFamilyParams, m: int, n: int) -> float:
     """Norm square of a degree-n element with angular degree m, assuming an
     orthonormal angular basis."""
-    params.require_valid(n)
-    two_a = 2 * params.alpha
-    if params.family == "M":
-        p, q = params.p, params.q
-        ratio = gamma_ratio(
-            [p - two_a - 2 * m - 1, q + two_a + 2 * m + 1],
-            [p - two_a - 1, q + two_a + 1],
-        )
-        return ratio * norm_m(n - m, MParams(p - two_a - 2 * m, q + two_a + 2 * m))
-    if params.family == "N":
-        p = params.p
-        ratio = gamma_ratio([p - two_a - 2 * m - 1], [p - two_a - 1])
-        return ratio * norm_n(n - m, NParams(p - two_a - 2 * m))
-    alpha_l = 2 * m + 2 * params.mu + params.beta + params.d - 1
-    ratio = gamma_ratio([alpha_l + 1], [alpha_l + 1 - 2 * m])
-    return ratio * pochhammer(alpha_l + 1, n - m) / factorial_real(n - m)
+    return params.norm(m, n)
 
 
 def expected_sq_norm(params: ConeFamilyParams, element: ConeBasisElement) -> float:
     """Predicted Gram diagonal; picks up the angular norm when the angular
     basis is not orthonormal (paper-gegenbauer convention)."""
     return cone_norm(params, element.m, element.n) * element.ball.sq_norm
-
-
-def _radial_values(params: ConeFamilyParams, n: int, m: int, ts: np.ndarray) -> np.ndarray:
-    """Radial factor evaluated by the forward recurrence, which stays
-    accurate where the coefficient form cancels (large p, small t)."""
-    two_a = 2 * params.alpha
-    if params.family == "M":
-        return eval_m(n - m, MParams(params.p - two_a - 2 * m, params.q + two_a + 2 * m), ts)
-    if params.family == "N":
-        return eval_n(n - m, NParams(params.p - two_a - 2 * m), ts)
-    return eval_laguerre(n - m, 2 * m + 2 * params.mu + params.beta + params.d - 1, ts)
 
 
 def cone_gram(
@@ -249,7 +147,7 @@ def cone_gram(
     return separable_gram(
         elements,
         factors,
-        partial(_radial_values, params),
+        params.values,
         lambda e: ((e.m, e.k), e.ball.poly),
         [expected_sq_norm(params, e) for e in elements],
     )
@@ -313,7 +211,7 @@ def companion_element_n(params: ConeFamilyParams, element: ConeBasisElement) -> 
     """The shifted companion: same angular part, degree n-1, parameter p-2."""
     shifted = ConeFamilyParams(params.d, params.mu, "N", p=params.p - 2.0)
     shifted.require_valid(element.n - 1)
-    radial = _radial(shifted, element.n - 1, element.m, "recurrence")
+    radial = shifted.radial(element.n - 1, element.m)
     return MultiPoly.from_unipoly_t(radial, params.d) * element.angular
 
 
@@ -399,7 +297,7 @@ def recurrence_residual(
     d = params.d
 
     def elem(k: int) -> MultiPoly:
-        radial = _radial(params, k, m, "rodrigues" if params.family in ("M", "N") else "recurrence")
+        radial = params.radial(k, m, "rodrigues")
         return MultiPoly.from_unipoly_t(radial, d) * ang
 
     e_prev, e_cur, e_next = elem(n - 1), elem(n), elem(n + 1)
@@ -499,10 +397,10 @@ def limit_to_laguerre(
     if params.family != "M":
         raise DomainError("the limit relation starts from the M family")
     d, mu, q = params.d, params.mu, params.q
-    two_a = 2 * params.mu + d - 1
     bb = ball_basis(d, mu, m, "orthonormal")
     ang = homogenize(bb.elements[ball_index].poly, m)
-    target_radial = coeffs_laguerre(n - m, q + 2 * m + two_a)
+    params.require_shape(q, "q")
+    target_radial = ConeFamilyParams(d, mu, "L", beta=q, limit_target=True).radial(n, m)
     sign = -1.0 if (n - m) % 2 else 1.0
     target = (MultiPoly.from_unipoly_t(target_radial, d) * ang).scale(
         sign * factorial_real(n - m)
@@ -513,8 +411,7 @@ def limit_to_laguerre(
     for p in p_grid:
         trial = ConeFamilyParams(d, mu, "M", p=float(p), q=q)
         trial.require_valid(n)
-        radial = _radial(trial, n, m, "recurrence")
-        poly = MultiPoly.from_unipoly_t(radial, d) * ang
+        poly = MultiPoly.from_unipoly_t(trial.radial(n, m), d) * ang
         scaled = _p_scaled(poly, float(p), m)
         deviations.append(float(np.max(np.abs(scaled.evaluate_many(grid) - target_vals))))
     exponent = convergence_fit(list(zip(p_grid, deviations)))

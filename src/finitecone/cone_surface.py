@@ -11,38 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, QNotMinusOneError, UnsupportedDimension, ValidityError
+from .cone_solid import LimitReport, cone_sample_grid
+from .errors import DomainError, QNotMinusOneError, UnsupportedDimension
 from .gram import GramResult, separable_gram
 from .harmonics import dim_harmonic, harmonic_basis
 from .polyalg import MultiPoly
-from .quadrature import WeightGammaExp, WeightInvExp, WeightMPQ, surface_factors
-from .scalars import factorial_real, gamma_ratio, pochhammer
+from .quadrature import Shift, surface_factors, surface_shift
+from .scalars import factorial_real
 from .unipoly import UniPoly
-from .univariate import (
-    MParams,
-    NParams,
-    coeffs_laguerre,
-    coeffs_m,
-    coeffs_m_rodrigues,
-    coeffs_n,
-    coeffs_n_rodrigues,
-    eval_laguerre,
-    eval_m,
-    eval_n,
-    norm_m,
-)
-
-FAMILIES = ("M", "N", "L")
+from .univariate import ShiftedRadial
 
 
 @dataclass(frozen=True)
-class SurfaceParams:
-    """Parameter bundle for a conic-surface family.
+class SurfaceParams(ShiftedRadial):
+    """Parameter bundle for a conic-surface family; the radial factors are
+    shifted by c = d - 1.
 
     d = 1 (two rays) is permitted for construction, but the differential
     identities assume d >= 2.
@@ -55,45 +43,13 @@ class SurfaceParams:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
+        super().__post_init__()
         if self.d not in (1, 2, 3):
             raise UnsupportedDimension(f"d = {self.d}, supported: (1, 2, 3)")
-        if self.family == "M" and (self.p is None or self.q is None):
-            raise DomainError("M family needs p and q")
-        if self.family == "N" and self.p is None:
-            raise DomainError("N family needs p")
-        if self.family == "L" and self.beta is None:
-            raise DomainError("L family needs beta")
 
-    def require_valid(self, n: int) -> None:
-        if self.family == "M":
-            if self.p <= 2 * n + self.d:
-                raise ValidityError("p > 2N + d", f"p = {self.p}, N = {n}, d = {self.d}")
-            if self.q <= -self.d:
-                raise ValidityError("q > -d", f"q = {self.q}, d = {self.d}")
-        elif self.family == "N":
-            if self.p <= 2 * n + self.d:
-                raise ValidityError("p > 2N + d", f"p = {self.p}, N = {n}, d = {self.d}")
-        else:
-            if self.beta <= -self.d:
-                raise ValidityError("beta > -d", f"beta = {self.beta}, d = {self.d}")
-
-    @property
-    def max_degree(self) -> Optional[int]:
-        if self.family == "L":
-            return None
-        n = math.ceil((self.p - self.d) / 2) - 1
-        while self.p <= 2 * n + self.d:
-            n -= 1
-        return n
-
-    def radial_weight(self):
-        if self.family == "M":
-            return WeightMPQ(self.p, self.q)
-        if self.family == "N":
-            return WeightInvExp(self.p)
-        return WeightGammaExp(self.beta)
+    @cached_property
+    def shift(self) -> Shift:
+        return surface_shift(self.d)
 
 
 @dataclass(frozen=True)
@@ -117,18 +73,7 @@ def surface_dimension(d: int, n: int) -> int:
     return math.comb(n + d - 1, n) + second
 
 
-def _radial(params: SurfaceParams, n: int, m: int, source: str) -> UniPoly:
-    d = params.d
-    if params.family == "M":
-        sub = MParams(params.p - 2 * m - d + 1, params.q + 2 * m + d - 1)
-        return (coeffs_m if source == "recurrence" else coeffs_m_rodrigues)(n - m, sub)
-    if params.family == "N":
-        sub = NParams(params.p - 2 * m - d + 1)
-        return (coeffs_n if source == "recurrence" else coeffs_n_rodrigues)(n - m, sub)
-    return coeffs_laguerre(n - m, 2 * m + params.beta + params.d - 1)
-
-
-def surface_basis(params: SurfaceParams, n: int, radial_source: str = "recurrence"):
+def surface_basis(params: SurfaceParams, n: int):
     """Degree-n elements: 0 <= m <= n, one per harmonic of degree m."""
     params.require_valid(n)
     out = []
@@ -136,7 +81,7 @@ def surface_basis(params: SurfaceParams, n: int, radial_source: str = "recurrenc
         harm = harmonic_basis(params.d, m)
         if not harm.elements:
             continue
-        radial = _radial(params, n, m, radial_source)
+        radial = params.radial(n, m)
         rad_mp = MultiPoly.from_unipoly_t(radial, params.d)
         g = radial.shift_up(m)
         for l, y in enumerate(harm.elements, start=1):
@@ -151,35 +96,7 @@ def surface_basis(params: SurfaceParams, n: int, radial_source: str = "recurrenc
 def surface_norm(params: SurfaceParams, m: int, n: int) -> float:
     """Norm square of a degree-n element with harmonic degree m under the
     normalized surface inner product."""
-    params.require_valid(n)
-    d = params.d
-    if params.family == "M":
-        p, q = params.p, params.q
-        ratio = gamma_ratio(
-            [p - 2 * m - d, q + 2 * m + d], [p - d, q + d]
-        )
-        return ratio * norm_m(n - m, MParams(p - 2 * m - d + 1, q + 2 * m + d - 1))
-    if params.family == "N":
-        p = params.p
-        return (
-            factorial_real(n - m)
-            * gamma_ratio([p - n - m - d + 1], [p - d])
-            / (p - 2 * n - d)
-        )
-    alpha_l = 2 * m + params.beta + d - 1
-    ratio = gamma_ratio([alpha_l + 1], [params.beta + d])
-    return ratio * pochhammer(alpha_l + 1, n - m) / factorial_real(n - m)
-
-
-def _radial_values(params: SurfaceParams, n: int, m: int, ts: np.ndarray) -> np.ndarray:
-    """Radial factor by forward recurrence; accurate where the coefficient
-    form cancels (large p, small t)."""
-    d = params.d
-    if params.family == "M":
-        return eval_m(n - m, MParams(params.p - 2 * m - d + 1, params.q + 2 * m + d - 1), ts)
-    if params.family == "N":
-        return eval_n(n - m, NParams(params.p - 2 * m - d + 1), ts)
-    return eval_laguerre(n - m, 2 * m + params.beta + d - 1, ts)
+    return params.norm(m, n)
 
 
 def surface_gram(params: SurfaceParams, n_max: int) -> GramResult:
@@ -195,7 +112,7 @@ def surface_gram(params: SurfaceParams, n_max: int) -> GramResult:
     return separable_gram(
         elements,
         factors,
-        partial(_radial_values, params),
+        params.values,
         lambda e: ((e.m, e.l), e.harmonic),
         [surface_norm(params, e.m, e.n) for e in elements],
     )
@@ -250,7 +167,7 @@ def surface_diffdiff_residual_n(params: SurfaceParams, element: SurfaceElement) 
     if n > m:
         shifted = SurfaceParams(d, "N", p=p - 2.0)
         shifted.require_valid(n - 1)
-        comp = _radial(shifted, n - 1, m, "recurrence").shift_up(m)
+        comp = shifted.radial(n - 1, m).shift_up(m)
         rhs = rhs + comp.scale((m - n) * (p - n - m - d))
     return lhs - rhs
 
@@ -262,7 +179,7 @@ def laguerre_surface_ode_residual(d: int, n: int, m: int, beta: float = -1.0) ->
         raise UnsupportedDimension("the surface operator needs d >= 2")
     if beta != -1.0:
         raise DomainError("the degree-only eigenvalue holds at beta = -1")
-    g = coeffs_laguerre(n - m, 2 * m + beta + d - 1).shift_up(m)
+    g = SurfaceParams(d, "L", beta=beta).radial(n, m).shift_up(m)
     g1 = g.derivative()
     g2 = g1.derivative()
     return (
@@ -274,21 +191,11 @@ def laguerre_surface_ode_residual(d: int, n: int, m: int, beta: float = -1.0) ->
     )
 
 
-@dataclass(frozen=True)
-class SurfaceLimitReport:
-    n: int
-    m: int
-    p_values: tuple
-    deviations: tuple
-    exponent: object
-
-
 def surface_limit_m(
     params: SurfaceParams, n: int, m: int, l: int = 1, p_grid=(1e2, 1e3, 1e4)
-) -> SurfaceLimitReport:
+) -> LimitReport:
     """Deviation between the radially rescaled M-family surface element and
     its Laguerre surface target, with fitted decay exponent."""
-    from .cone_solid import cone_sample_grid
     from .verifier import convergence_fit
 
     if params.family != "M":
@@ -298,10 +205,9 @@ def surface_limit_m(
     if not harm or l > len(harm):
         raise DomainError(f"no harmonic index {l} at degree {m} for d = {d}")
     y = harm[l - 1]
+    params.require_shape(q, "q")
     sign = -1.0 if (n - m) % 2 else 1.0
-    target_radial = coeffs_laguerre(n - m, q + 2 * m + d - 1).scale(
-        sign * factorial_real(n - m)
-    )
+    target_radial = SurfaceParams(d, "L", beta=q).radial(n, m).scale(sign * factorial_real(n - m))
     grid = cone_sample_grid(d)
     # evaluation points sit on the surface: x = t xi
     grid = np.array([list(np.asarray(pt[:d]) / np.linalg.norm(pt[:d]) * pt[d]) + [pt[d]] for pt in grid])
@@ -309,12 +215,12 @@ def surface_limit_m(
     for p in p_grid:
         trial = SurfaceParams(d, "M", p=float(p), q=q)
         trial.require_valid(n)
-        radial = _radial(trial, n, m, "recurrence")
+        radial = trial.radial(n, m)
         scaled = UniPoly(tuple(c * float(p) ** (-k) for k, c in enumerate(radial.coeffs)))
         diff = MultiPoly.from_unipoly_t(scaled - target_radial, d) * y
         deviations.append(float(np.max(np.abs(diff.evaluate_many(grid)))))
     exponent = convergence_fit(list(zip(p_grid, deviations)))
-    return SurfaceLimitReport(n, m, tuple(float(p) for p in p_grid), tuple(deviations), exponent)
+    return LimitReport(n, m, tuple(float(p) for p in p_grid), tuple(deviations), exponent)
 
 
 def surface_counts_match(d: int, n_max: int) -> bool:

@@ -369,21 +369,45 @@ class FactorRules:
         )
 
 
-def _radial_factor(weight, shift: float, max_degree: int, plus: str, minus: str, context: str):
-    """Normalized t-rule for weight(t) t^shift and its log raw mass, after
-    the integrability window of the cone or surface measure:
+@dataclass(frozen=True)
+class Shift:
+    """The power t^c that the angular part of a cone or surface measure
+    contributes at height t: c = 2*mu + d - 1 on the solid cone (ball of
+    radius t), c = d - 1 on the conic surface (sphere of radius t).  Every
+    window of a family on the domain has the edge c + 1, printed as plus
+    (or minus for its negative); context prints the domain parameters."""
+
+    c: float
+    plus: str
+    minus: str
+    context: str
+
+
+def solid_shift(d: int, mu: float) -> Shift:
+    return Shift(d + 2 * mu - 1, "2*mu + d", "-2*mu - d", f"mu = {mu}, d = {d}")
+
+
+def surface_shift(d: int) -> Shift:
+    return Shift(d - 1, "d", "-d", f"d = {d}")
+
+
+def _radial_factor(weight, shift: Shift, max_degree: int):
+    """Normalized t-rule for weight(t) t^c and its log raw mass, after the
+    integrability window of the cone or surface measure:
     p > deg(f) + plus, q > minus, beta > minus."""
-    eff = weight.absorb_power(shift)
+    eff = weight.absorb_power(shift.c)
     if isinstance(weight, (WeightMPQ, WeightInvExp)):
         if eff.p <= max_degree + 1:
             raise IntegrabilityError(
-                f"p > deg(f) + {plus}", f"p = {weight.p}, deg = {max_degree}, {context}"
+                f"p > deg(f) + {shift.plus}", f"p = {weight.p}, deg = {max_degree}, {shift.context}"
             )
         if isinstance(weight, WeightMPQ) and eff.q <= -1:
-            raise IntegrabilityError(f"q > {minus}", f"q = {weight.q}, {context}")
+            raise IntegrabilityError(f"q > {shift.minus}", f"q = {weight.q}, {shift.context}")
     elif isinstance(weight, WeightGammaExp):
         if eff.alpha <= -1:
-            raise IntegrabilityError(f"beta > {minus}", f"beta = {weight.alpha}, {context}")
+            raise IntegrabilityError(
+                f"beta > {shift.minus}", f"beta = {weight.alpha}, {shift.context}"
+            )
     else:
         raise DomainError(f"unknown radial weight {type(weight).__name__}")
     return eff.rule(max_degree, normalized=True), eff.log_mass()
@@ -398,9 +422,7 @@ def cone_factors(d: int, mu: float, weight, max_degree: int) -> FactorRules:
     """
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
-    t_rule, log_mass = _radial_factor(
-        weight, d + 2 * mu - 1, max_degree, "2*mu + d", "-2*mu - d", f"mu = {mu}, d = {d}"
-    )
+    t_rule, log_mass = _radial_factor(weight, solid_shift(d, mu), max_degree)
     return FactorRules(
         t_rule, ball_rule(d, mu, max_degree, normalized=True),
         log_mass - math.log(ball_mass_normalization(d, mu)), max_degree,
@@ -416,7 +438,7 @@ def surface_factors(d: int, weight, max_degree: int) -> FactorRules:
     """
     from .harmonics import sphere_rule, surface_area
 
-    t_rule, log_mass = _radial_factor(weight, d - 1, max_degree, "d", "-d", f"d = {d}")
+    t_rule, log_mass = _radial_factor(weight, surface_shift(d), max_degree)
     return FactorRules(
         t_rule, sphere_rule(d, max_degree), log_mass + math.log(surface_area(d)),
         max_degree, f"conic surface d={d} w={weight}",

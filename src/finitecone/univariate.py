@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import DegenerateParamError, DomainError, ValidityError
+from .quadrature import Shift, WeightGammaExp, WeightInvExp, WeightMPQ
 from .scalars import factorial_real, gamma_fn, gamma_ratio, hyper_terminating, pochhammer
 from .unipoly import UniPoly, fsum_build
 
@@ -44,10 +46,7 @@ class MParams:
     @property
     def max_degree(self) -> int:
         """Largest degree the family is orthogonal up to (may be -1)."""
-        n = math.ceil((self.p - 1) / 2) - 1
-        while self.p <= 2 * n + 1:
-            n -= 1
-        return n
+        return largest_degree(self.p)
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,17 @@ class NParams:
 
     @property
     def max_degree(self) -> int:
-        n = math.ceil((self.p - 1) / 2) - 1
-        while self.p <= 2 * n + 1:
-            n -= 1
-        return n
+        return largest_degree(self.p)
+
+
+def largest_degree(p: float) -> int:
+    """Largest n with p > 2n + 1 (may be -1): the degree a finite class at
+    parameter p stays orthogonal up to.  A cone or surface family passes
+    its p shifted by c."""
+    n = math.ceil((p - 1) / 2) - 1
+    while p <= 2 * n + 1:
+        n -= 1
+    return n
 
 
 def _check_chain(p: float, n: int) -> None:
@@ -289,6 +295,112 @@ def laguerre_limit_error_m(n: int, q: float, x: float, p_grid) -> list:
         params.require_valid(n)
         out.append(abs(eval_m(n, params, x / p) - target))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the shifted radial family of the solid cone and the conic surface
+# ---------------------------------------------------------------------------
+
+
+class ShiftedRadial:
+    """The radial side of a family on the solid cone or the conic surface.
+
+    The degree-n element of angular degree m carries the degree-(n - m)
+    member of a univariate class at parameters shifted by c + 2m: M at
+    (p - c - 2m, q + c + 2m), N at p - c - 2m, Laguerre at exponent
+    beta + c + 2m, with c the domain's Shift.  So every window is the
+    univariate one at m = 0: p > 2N + c + 1, q > -(c + 1), beta > -(c + 1).
+
+    Mixed into frozen dataclasses with the fields family, p, q and beta
+    and a shift property.
+    """
+
+    family: str
+    p: Optional[float]
+    q: Optional[float]
+    beta: Optional[float]
+    shift: Shift
+
+    def __post_init__(self):
+        if self.family not in ("M", "N", "L"):
+            raise DomainError(f"unknown family {self.family!r}")
+        if self.family == "M" and (self.p is None or self.q is None):
+            raise DomainError("M family needs p and q")
+        if self.family == "N" and self.p is None:
+            raise DomainError("N family needs p")
+        if self.family == "L" and self.beta is None:
+            raise DomainError("L family needs beta")
+
+    def require_shape(self, value: float, name: str) -> None:
+        """The window value > -(c + 1) of q (M) or beta (L), named name."""
+        if value + self.shift.c <= -1:
+            raise ValidityError(
+                f"{name} > {self.shift.minus}", f"{name} = {value}, {self.shift.context}"
+            )
+
+    def require_valid(self, n: int) -> None:
+        """Validity window for orthogonality up to degree n."""
+        if self.family != "L" and self.p - self.shift.c <= 2 * n + 1:
+            raise ValidityError(
+                f"p > 2N + {self.shift.plus}", f"p = {self.p}, N = {n}, {self.shift.context}"
+            )
+        if self.family == "M":
+            self.require_shape(self.q, "q")
+        elif self.family == "L":
+            self.require_shape(self.beta, "beta")
+
+    @property
+    def max_degree(self) -> Optional[int]:
+        """Finite-orthogonality ceiling; None when unbounded (L family)."""
+        return None if self.family == "L" else largest_degree(self.p - self.shift.c)
+
+    def radial_weight(self):
+        if self.family == "M":
+            return WeightMPQ(self.p, self.q)
+        if self.family == "N":
+            return WeightInvExp(self.p)
+        return WeightGammaExp(self.beta)
+
+    def _shifted(self, m: int):
+        """Univariate parameters of the radial factor at angular degree m
+        (a Laguerre exponent for the L family)."""
+        c = self.shift.c
+        if self.family == "M":
+            return MParams(self.p - c - 2 * m, self.q + c + 2 * m)
+        if self.family == "N":
+            return NParams(self.p - c - 2 * m)
+        return self.beta + c + 2 * m
+
+    def radial(self, n: int, m: int, source: str = "recurrence") -> UniPoly:
+        """Radial factor of the degree-n element of angular degree m, by the
+        recurrence or, for M and N, by the Rodrigues oracle (source
+        "rodrigues")."""
+        rodrigues = source == "rodrigues"
+        build = {
+            "M": coeffs_m_rodrigues if rodrigues else coeffs_m,
+            "N": coeffs_n_rodrigues if rodrigues else coeffs_n,
+            "L": coeffs_laguerre,
+        }[self.family]
+        return build(n - m, self._shifted(m))
+
+    def values(self, n: int, m: int, ts):
+        """Radial factor at the points ts by the forward recurrence, which
+        stays accurate where the coefficient form cancels (large p, small t)."""
+        evaluate = {"M": eval_m, "N": eval_n, "L": eval_laguerre}[self.family]
+        return evaluate(n - m, self._shifted(m), ts)
+
+    def norm(self, m: int, n: int) -> float:
+        """Norm square of a degree-n element of angular degree m with an
+        orthonormal angular factor: the univariate norm at the shifted
+        parameters times the Gamma ratio of the shifted weights'
+        normalizations at 0 and at m."""
+        self.require_valid(n)
+        a, b = self._shifted(0), self._shifted(m)
+        if self.family == "M":
+            return gamma_ratio([b.p - 1, b.q + 1], [a.p - 1, a.q + 1]) * norm_m(n - m, b)
+        if self.family == "N":
+            return gamma_ratio([b.p - 1], [a.p - 1]) * norm_n(n - m, b)
+        return gamma_ratio([b + 1], [a + 1]) * pochhammer(b + 1, n - m) / factorial_real(n - m)
 
 
 # ---------------------------------------------------------------------------

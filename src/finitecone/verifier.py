@@ -24,12 +24,51 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .ball import ball_dimension
+from .cone_solid import (
+    ConeFamilyParams,
+    cone_basis,
+    cone_dimension,
+    cone_gram,
+    diffdiff_residual_n,
+    laguerre_cone_checks,
+    limit_to_laguerre,
+    operator_residual_m,
+    recurrence_residual,
+)
+from .cone_surface import (
+    SurfaceParams,
+    laguerre_surface_ode_residual,
+    surface_basis,
+    surface_diffdiff_residual_n,
+    surface_dimension,
+    surface_gram,
+    surface_limit_m,
+    surface_ode_residual_m,
+)
 from .errors import (
     DegenerateDataError,
     DegenerateParamError,
     DomainError,
     IntegrabilityError,
     ValidityError,
+)
+from .harmonics import dim_harmonic, harmonic_basis
+from .polyalg import apply_operator, euler_operator
+from .quadrature import WeightInvExp, WeightMPQ
+from .univariate import (
+    MParams,
+    NParams,
+    coeffs_m,
+    coeffs_m_rodrigues,
+    coeffs_n,
+    coeffs_n_rodrigues,
+    derivative_relation_residual,
+    laguerre_limit_error_m,
+    norm_m,
+    norm_n,
+    ode_residual_m,
+    ode_residual_n,
 )
 
 DEFAULT_THRESHOLDS = {
@@ -183,51 +222,87 @@ class _Collector:
             )
 
 
-def _cone_params(desc):
-    from .cone_solid import ConeFamilyParams
+# parameters each family cannot do without; d and mu have defaults
+_REQUIRED = {
+    "uni-M": ("p", "q"),
+    "uni-N": ("p",),
+    "cone-M": ("p", "q"),
+    "cone-N": ("p",),
+    "cone-L": ("beta",),
+    "surf-M": ("p", "q"),
+    "surf-N": ("p",),
+    "surf-L": ("beta",),
+}
 
-    fam = desc["family"].split("-")[1]
-    return ConeFamilyParams(
-        int(desc.get("d", 1)),
-        float(desc.get("mu", 0.5)),
-        fam,
-        p=desc.get("p"),
-        q=desc.get("q"),
-        beta=desc.get("beta"),
+
+@dataclass(frozen=True)
+class ParsedDescriptor:
+    """A validated descriptor: the family name, its typed parameter bundle
+    (MParams, NParams, ConeFamilyParams or SurfaceParams), and the run
+    settings every suite reads."""
+
+    family: str
+    params: object
+    n_max: int
+    convention: str
+    p_grid: tuple
+
+
+def _finite_real(value) -> bool:
+    return (
+        not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
     )
 
 
-def _surf_params(desc):
-    from .cone_surface import SurfaceParams
+def parse_descriptor(desc: dict) -> ParsedDescriptor:
+    """Validate a descriptor once and build its parameter bundle.
 
-    fam = desc["family"].split("-")[1]
-    return SurfaceParams(
-        int(desc.get("d", 2)),
-        fam,
-        p=desc.get("p"),
-        q=desc.get("q"),
-        beta=desc.get("beta"),
+    Rejects with a DomainError naming the field: an unknown family, a
+    missing n_max or required parameter, a p, q, beta or mu that is not a
+    finite real number, an n_max or d that is not a non-negative int, or a
+    p_grid that is not a list of positive finite numbers.  Other keys pass
+    through.  Defaults: d = 1 on the solid cone, d = 2 on the surface,
+    mu = 0.5.  Validity windows are left to the suites, so that probe mode
+    can report them."""
+    family = desc.get("family")
+    if family not in _FAMILY_SUITES:
+        raise DomainError(f"unknown family {family!r}; choose from {tuple(_FAMILY_SUITES)}")
+    if desc.get("n_max") is None:
+        raise DomainError("the descriptor needs n_max")
+    required = _REQUIRED[family]
+    for key in required:
+        if desc.get(key) is None:
+            raise DomainError(f"{family} needs {' and '.join(required)}; {key} is missing")
+    for key in ("p", "q", "beta", "mu"):
+        value = desc.get(key)
+        if value is not None and not _finite_real(value):
+            raise DomainError(f"{key} must be a finite real number, got {value!r}")
+    domain, kind = family.split("-")
+    n_max, d = desc["n_max"], desc.get("d", 2 if domain == "surf" else 1)
+    for key, value in (("n_max", n_max), ("d", d)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise DomainError(f"{key} must be a non-negative int, got {value!r}")
+    p_grid = desc.get("p_grid", (1e2, 1e3, 1e4))
+    if not isinstance(p_grid, (list, tuple)) or not all(
+        _finite_real(p) and p > 0 for p in p_grid
+    ):
+        raise DomainError(f"p_grid must be a list of positive finite numbers, got {p_grid!r}")
+
+    p, q, beta = desc.get("p"), desc.get("q"), desc.get("beta")
+    if domain == "uni":
+        params = MParams(float(p), float(q)) if kind == "M" else NParams(float(p))
+    elif domain == "cone":
+        params = ConeFamilyParams(int(d), float(desc.get("mu", 0.5)), kind, p=p, q=q, beta=beta)
+    else:
+        params = SurfaceParams(int(d), kind, p=p, q=q, beta=beta)
+    return ParsedDescriptor(
+        family, params, n_max, desc.get("convention", "orthonormal"), tuple(p_grid)
     )
 
 
-def _uni_params(desc):
-    from .univariate import MParams, NParams
-
-    if desc["family"] == "uni-M":
-        return MParams(float(desc["p"]), float(desc["q"]))
-    return NParams(float(desc["p"]))
-
-
-def _dims_checks(desc, col: _Collector, th):
-    from .ball import ball_dimension
-    from .cone_solid import cone_basis, cone_dimension
-    from .cone_surface import surface_basis, surface_dimension
-    from .harmonics import dim_harmonic, harmonic_basis
-    from .polyalg import apply_operator, euler_operator
-
-    family = desc["family"]
-    n_max = int(desc["n_max"])
-    d = int(desc.get("d", 1))
+def _dims_checks(spec: ParsedDescriptor, col: _Collector, th):
+    params, n_max = spec.params, spec.n_max
+    d = params.d
     for m in range(n_max + 1):
         got = len(harmonic_basis(d, m).elements)
         col.add(
@@ -236,13 +311,11 @@ def _dims_checks(desc, col: _Collector, th):
             float(abs(got - dim_harmonic(d, m))),
             0.0,
         )
-    if family.startswith("cone"):
-        params = _cone_params(desc)
-
+    if spec.family.startswith("cone"):
         def run():
             euler = euler_operator(d)
             for n in range(n_max + 1):
-                elems = cone_basis(params, n, desc.get("convention", "orthonormal"))
+                elems = cone_basis(params, n, spec.convention)
                 col.add(
                     f"dims/solid-count/n{n}",
                     "basis-dimension",
@@ -263,9 +336,7 @@ def _dims_checks(desc, col: _Collector, th):
                 col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
 
         col.guarded("dims/solid", "basis-dimension", run)
-    elif family.startswith("surf"):
-        params = _surf_params(desc)
-
+    else:
         def run():
             for n in range(n_max + 1):
                 elems = surface_basis(params, n)
@@ -284,21 +355,14 @@ def _dims_checks(desc, col: _Collector, th):
                 )
 
         col.guarded("dims/surface", "basis-dimension", run)
-    else:
-        raise DomainError("the dims suite applies to cone and surface families")
 
 
-def _uni_gram(desc, col: _Collector, th):
-    from .quadrature import WeightInvExp, WeightMPQ
-    from .univariate import coeffs_m, coeffs_n, norm_m, norm_n
-
-    params = _uni_params(desc)
-    n_max = int(desc["n_max"])
-    family = desc["family"]
+def _uni_gram(spec: ParsedDescriptor, col: _Collector, th):
+    params, n_max = spec.params, spec.n_max
 
     def run():
         params.require_valid(n_max)
-        if family == "uni-M":
+        if spec.family == "uni-M":
             weight = WeightMPQ(params.p, params.q)
             polys = [coeffs_m(n, params) for n in range(n_max + 1)]
             expected = [norm_m(n, params) for n in range(n_max + 1)]
@@ -343,29 +407,16 @@ def _diag_rows(col: _Collector, res, th):
         )
 
 
-def _gram_checks(desc, col: _Collector, th):
-    family = desc["family"]
-    if family.startswith("uni"):
-        _uni_gram(desc, col, th)
+def _gram_checks(spec: ParsedDescriptor, col: _Collector, th):
+    if spec.family.startswith("uni"):
+        _uni_gram(spec, col, th)
         return
-    n_max = int(desc["n_max"])
-    if family.startswith("cone"):
-        from .cone_solid import cone_gram
-
-        params = _cone_params(desc)
-
-        def gram():
-            return cone_gram(params, n_max, desc.get("convention", "orthonormal"))
-    else:
-        from .cone_surface import surface_gram
-
-        params = _surf_params(desc)
-
-        def gram():
-            return surface_gram(params, n_max)
 
     def run():
-        res = gram()
+        if spec.family.startswith("cone"):
+            res = cone_gram(spec.params, spec.n_max, spec.convention)
+        else:
+            res = surface_gram(spec.params, spec.n_max)
         col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
         col.add("gram/offdiag-max", "orthogonality-gram", res.max_offdiag, th["gram_offdiag"])
         col.add("gram/diag-rel-max", "orthogonality-gram", res.max_diag_rel, th["gram_diag_rel"])
@@ -374,13 +425,9 @@ def _gram_checks(desc, col: _Collector, th):
     col.guarded("gram", "orthogonality-gram", run)
 
 
-def _ode_checks(desc, col: _Collector, th):
-    family = desc["family"]
-    n_max = int(desc["n_max"])
+def _ode_checks(spec: ParsedDescriptor, col: _Collector, th):
+    family, params, n_max = spec.family, spec.params, spec.n_max
     if family == "uni-M":
-        from .univariate import coeffs_m, ode_residual_m
-
-        params = _uni_params(desc)
         for n in range(n_max + 1):
             res = ode_residual_m(n, params)
             col.add(
@@ -389,9 +436,6 @@ def _ode_checks(desc, col: _Collector, th):
             )
         return
     if family == "uni-N":
-        from .univariate import coeffs_n, ode_residual_n
-
-        params = _uni_params(desc)
         for n in range(n_max + 1):
             res = ode_residual_n(n, params)
             col.add(
@@ -400,13 +444,9 @@ def _ode_checks(desc, col: _Collector, th):
             )
         return
     if family == "cone-M":
-        from .cone_solid import cone_basis, operator_residual_m
-
-        params = _cone_params(desc)
-
         def run():
             for n in range(n_max + 1):
-                for el in cone_basis(params, n, desc.get("convention", "orthonormal")):
+                for el in cone_basis(params, n, spec.convention):
                     res = operator_residual_m(params, el)
                     col.add(
                         f"ode/{el.label}", "solid-first-family-pde",
@@ -417,10 +457,6 @@ def _ode_checks(desc, col: _Collector, th):
         col.guarded("ode", "solid-first-family-pde", run)
         return
     if family == "cone-L":
-        from .cone_solid import laguerre_cone_checks
-
-        params = _cone_params(desc)
-
         def run():
             for name, value in laguerre_cone_checks(params.d, params.mu, n_max, params.beta):
                 if name.startswith("laguerre-pde"):
@@ -429,10 +465,6 @@ def _ode_checks(desc, col: _Collector, th):
         col.guarded("ode", "laguerre-cone-pde", run)
         return
     if family == "surf-M":
-        from .cone_surface import surface_basis, surface_ode_residual_m
-
-        params = _surf_params(desc)
-
         def run():
             for n in range(n_max + 1):
                 for el in surface_basis(params, n):
@@ -446,22 +478,9 @@ def _ode_checks(desc, col: _Collector, th):
         col.guarded("ode", "surface-first-family-ode", run)
         return
     if family == "surf-L":
-        from .cone_surface import laguerre_surface_ode_residual
-        from .univariate import coeffs_laguerre
-
-        params = _surf_params(desc)
-        d = params.d
-
         def run():
             params.require_valid(0)
-            for n in range(n_max + 1):
-                for m in range(n + 1):
-                    res = laguerre_surface_ode_residual(d, n, m)
-                    ref = coeffs_laguerre(n - m, 2 * m - 1 + d - 1).shift_up(m)
-                    col.add(
-                        f"ode/n{n}.m{m}", "laguerre-surface-ode",
-                        res.rel_residual_against(ref), th["residual_rel"],
-                    )
+            _laguerre_surface_rows(col, th, params.d, n_max, "ode")
 
         col.guarded("ode", "laguerre-surface-ode", run)
         return
@@ -470,17 +489,25 @@ def _ode_checks(desc, col: _Collector, th):
     )
 
 
-def _diffdiff_checks(desc, col: _Collector, th):
-    family = desc["family"]
-    n_max = int(desc["n_max"])
+def _laguerre_surface_rows(col: _Collector, th, d: int, n_max: int, prefix: str):
+    """The beta = -1 Laguerre surface operator on every (n, m), relative to
+    the reduced carrier."""
+    target = SurfaceParams(d, "L", beta=-1.0)
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            res = laguerre_surface_ode_residual(d, n, m)
+            col.add(
+                f"{prefix}/n{n}.m{m}", "laguerre-surface-ode",
+                res.rel_residual_against(target.radial(n, m).shift_up(m)), th["residual_rel"],
+            )
+
+
+def _diffdiff_checks(spec: ParsedDescriptor, col: _Collector, th):
+    family, params, n_max = spec.family, spec.params, spec.n_max
     if family == "cone-N":
-        from .cone_solid import cone_basis, diffdiff_residual_n
-
-        params = _cone_params(desc)
-
         def run():
             for n in range(n_max + 1):
-                for el in cone_basis(params, n, desc.get("convention", "orthonormal")):
+                for el in cone_basis(params, n, spec.convention):
                     res = diffdiff_residual_n(params, el)
                     col.add(
                         f"diffdiff/{el.label}", "solid-second-family-difference-differential",
@@ -490,10 +517,6 @@ def _diffdiff_checks(desc, col: _Collector, th):
         col.guarded("diffdiff", "solid-second-family-difference-differential", run)
         return
     if family == "surf-N":
-        from .cone_surface import surface_basis, surface_diffdiff_residual_n
-
-        params = _surf_params(desc)
-
         def run():
             for n in range(n_max + 1):
                 for el in surface_basis(params, n):
@@ -508,16 +531,9 @@ def _diffdiff_checks(desc, col: _Collector, th):
     raise DomainError(f"the diffdiff suite applies to the N families, not {family}")
 
 
-def _recurrence_checks(desc, col: _Collector, th):
-    family = desc["family"]
-    n_max = int(desc["n_max"])
+def _recurrence_checks(spec: ParsedDescriptor, col: _Collector, th):
+    family, params, n_max = spec.family, spec.params, spec.n_max
     if family.startswith("uni"):
-        from .univariate import (
-            coeffs_m, coeffs_m_rodrigues, coeffs_n, coeffs_n_rodrigues,
-            derivative_relation_residual,
-        )
-
-        params = _uni_params(desc)
         build, oracle = (
             (coeffs_m, coeffs_m_rodrigues) if family == "uni-M" else (coeffs_n, coeffs_n_rodrigues)
         )
@@ -528,19 +544,14 @@ def _recurrence_checks(desc, col: _Collector, th):
                 f"recurrence/agreement/n{n}", "univariate-recurrence-vs-rodrigues",
                 (rec - rod).rel_residual_against(rod), th["agreement_rel"],
             )
-        fam_tag = "M" if family == "uni-M" else "N"
         for n in range(1, n_max + 1):
-            res = derivative_relation_residual(fam_tag, n, params)
+            res = derivative_relation_residual(family[-1], n, params)
             col.add(
                 f"recurrence/derivative-shift/n{n}", "derivative-parameter-shift",
                 res.rel_residual_against(build(n, params).derivative()), th["residual_rel"],
             )
         return
-    if family in ("cone-M", "cone-N", "cone-L"):
-        from .cone_solid import recurrence_residual
-
-        params = _cone_params(desc)
-
+    if family.startswith("cone"):
         def run():
             if n_max < 2:
                 params.require_valid(n_max)
@@ -560,7 +571,7 @@ def _recurrence_checks(desc, col: _Collector, th):
                         worst_stated = max(
                             worst_stated, recurrence_residual(params, n, m, variant="stated")
                         )
-            if params.family == "M" and n_max >= 2:
+            if params.family == "M":
                 col.add_documented(
                     "recurrence/stated-vs-derived", "solid-three-term-recurrence",
                     worst_stated, KNOWN_DISCREPANCY_NOTE,
@@ -571,15 +582,10 @@ def _recurrence_checks(desc, col: _Collector, th):
     raise DomainError(f"no recurrence suite for {family}")
 
 
-def _limit_checks(desc, col: _Collector, th):
-    family = desc["family"]
-    n_max = int(desc["n_max"])
-    p_grid = tuple(desc.get("p_grid", (1e2, 1e3, 1e4)))
+def _limit_checks(spec: ParsedDescriptor, col: _Collector, th):
+    family, params, n_max, p_grid = spec.family, spec.params, spec.n_max, spec.p_grid
     lo, hi = th["exponent_lo"], th["exponent_hi"]
     if family == "uni-M":
-        from .univariate import laguerre_limit_error_m
-
-        params = _uni_params(desc)
         for n in range(min(n_max, 4) + 1):
             errs = []
             for p in p_grid:
@@ -591,10 +597,6 @@ def _limit_checks(desc, col: _Collector, th):
             col.add_exponent(f"limit/n{n}", "laguerre-limit", exponent, lo, hi)
         return
     if family == "cone-M":
-        from .cone_solid import laguerre_cone_checks, limit_to_laguerre
-
-        params = _cone_params(desc)
-
         def run():
             for n in range(min(n_max, 3) + 1):
                 for m in range(n + 1):
@@ -613,11 +615,6 @@ def _limit_checks(desc, col: _Collector, th):
         col.guarded("limit", "laguerre-limit", run)
         return
     if family == "surf-M":
-        from .cone_surface import laguerre_surface_ode_residual, surface_limit_m
-        from .univariate import coeffs_laguerre
-
-        params = _surf_params(desc)
-
         def run():
             for n in range(min(n_max, 3) + 1):
                 for m in range(n + 1):
@@ -627,14 +624,7 @@ def _limit_checks(desc, col: _Collector, th):
                         detail=f"deviations {rep.deviations}",
                     )
             if params.d >= 2:
-                for n in range(min(n_max, 4) + 1):
-                    for m in range(n + 1):
-                        res = laguerre_surface_ode_residual(params.d, n, m)
-                        ref = coeffs_laguerre(n - m, 2 * m + params.d - 2).shift_up(m)
-                        col.add(
-                            f"limit/target/sur-ode/n{n}.m{m}", "laguerre-surface-ode",
-                            res.rel_residual_against(ref), th["residual_rel"],
-                        )
+                _laguerre_surface_rows(col, th, params.d, min(n_max, 4), "limit/target/sur-ode")
 
         col.guarded("limit", "laguerre-limit", run)
         return
@@ -651,44 +641,22 @@ _SUITE_FUNCS = {
 }
 
 
-# parameters each family cannot do without; d and mu have defaults
-_REQUIRED = {
-    "uni-M": ("p", "q"),
-    "uni-N": ("p",),
-    "cone-M": ("p", "q"),
-    "cone-N": ("p",),
-    "cone-L": ("beta",),
-    "surf-M": ("p", "q"),
-    "surf-N": ("p",),
-    "surf-L": ("beta",),
-}
-
-
-def _check_descriptor(desc) -> None:
-    """Reject a malformed descriptor with a DomainError naming the field:
-    a missing required parameter, a p, q, beta or mu that is not a finite
-    real number, or an n_max that is not a non-negative int.  Other keys
-    pass through."""
-    family = desc["family"]
-    if desc.get("n_max") is None:
-        raise DomainError("the descriptor needs n_max")
-    required = _REQUIRED[family]
-    for key in required:
-        if desc.get(key) is None:
-            raise DomainError(f"{family} needs {' and '.join(required)}; {key} is missing")
-    for key in ("p", "q", "beta", "mu"):
-        value = desc.get(key)
-        if value is None:
-            continue
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise DomainError(f"{key} must be a finite real number, got {value!r}")
-    n_max = desc["n_max"]
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise DomainError(f"n_max must be a non-negative int, got {n_max!r}")
+def _skip_reason(suite: str, spec: ParsedDescriptor):
+    """Why suite "all" skips a suite informationally instead of erroring:
+    the degree-only eigenvalue identities exist at one parameter value, and
+    the surface identities assume d >= 2.  None when the suite runs."""
+    family, params = spec.family, spec.params
+    if family.startswith("surf") and params.d == 1 and suite in ("ode", "diffdiff", "limit"):
+        return "the surface identities assume d >= 2; d = 1 is construction-only"
+    if suite != "ode":
+        return None
+    if family == "cone-M" and params.q != 0:
+        return "degree-only eigenvalues require q = 0"
+    if family == "surf-M" and params.q != -1:
+        return "degree-only eigenvalues require q = -1"
+    if family == "cone-L" and params.beta != 0:
+        return "the degree-only eigenvalue requires beta = 0"
+    return None
 
 
 def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
@@ -696,10 +664,8 @@ def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
     Report.  suite "all" runs every suite applicable to the family."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
-    family = descriptor.get("family")
-    if family not in _FAMILY_SUITES:
-        raise DomainError(f"unknown family {family!r}; choose from {tuple(_FAMILY_SUITES)}")
-    _check_descriptor(descriptor)
+    spec = parse_descriptor(descriptor)
+    family = spec.family
     th = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         th.update(thresholds)
@@ -707,31 +673,13 @@ def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
     for s in suites:
         if s not in _FAMILY_SUITES[family]:
             raise DomainError(f"suite {s!r} does not apply to family {family!r}")
-    probe = bool(descriptor.get("probe", False))
-    col = _Collector(probe)
+    col = _Collector(bool(descriptor.get("probe", False)))
     for s in suites:
-        if suite == "all":
-            # the degree-only eigenvalue identities exist at one parameter
-            # value, and the surface identities assume d >= 2; skip them
-            # informationally instead of erroring when the descriptor sits
-            # elsewhere
-            skip = None
-            if s == "ode" and family == "cone-M" and descriptor.get("q") != 0:
-                skip = "degree-only eigenvalues require q = 0"
-            if s == "ode" and family == "surf-M" and descriptor.get("q") != -1:
-                skip = "degree-only eigenvalues require q = -1"
-            if s == "ode" and family == "cone-L" and descriptor.get("beta") != 0:
-                skip = "the degree-only eigenvalue requires beta = 0"
-            if (
-                family.startswith("surf")
-                and int(descriptor.get("d", 2)) == 1
-                and s in ("ode", "diffdiff", "limit")
-            ):
-                skip = "the surface identities assume d >= 2; d = 1 is construction-only"
-            if skip:
-                col.add_skipped(f"{s}/skipped", "eigenvalue-restriction", skip)
-                continue
-        _SUITE_FUNCS[s](descriptor, col, th)
+        skip = _skip_reason(s, spec) if suite == "all" else None
+        if skip:
+            col.add_skipped(f"{s}/skipped", "eigenvalue-restriction", skip)
+            continue
+        _SUITE_FUNCS[s](spec, col, th)
     desc = dict(descriptor)
     desc["suite"] = suite
     report = Report(

@@ -14,6 +14,7 @@ from finitecone.verifier import (
     KNOWN_DISCREPANCY_NOTE,
     Report,
     convergence_fit,
+    parse_descriptor,
     run_suite,
 )
 
@@ -210,13 +211,22 @@ def test_laguerre_cone_family_keeps_its_window():
         laguerre_cone_checks(2, 1.0, 2, beta=-4.5, limit_target=True)
 
 
+# CLI payloads start with their subcommand: tabulate and eval validate the
+# descriptor as verify does, though they never reach run_suite
 _MALFORMED = [
     ("api", {"family": "cone-N", "d": 2, "mu": 0.5, "p": float("nan"), "n_max": 2}, "p"),
     ("api", {"family": "cone-N", "d": 2, "mu": 0.5, "p": float("inf"), "n_max": 2}, "p"),
-    ("cli", ["--family", "surf-N", "-d", "2", "-p", "nan", "-n", "2"], "p"),
+    ("cli", ["verify", "--family", "surf-N", "-d", "2", "-p", "nan", "-n", "2"], "p"),
     ("api", {"family": "uni-M", "p": 30.0, "n_max": 2}, "q"),
     ("api", {"family": "cone-M", "d": 2, "mu": 0.5, "p": "30", "q": 0.0, "n_max": 2}, "p"),
-    ("cli", ["--family", "cone-N", "-d", "2", "-p", "30", "-n", "-1"], "n_max"),
+    ("cli", ["verify", "--family", "cone-N", "-d", "2", "-p", "30", "-n", "-1"], "n_max"),
+    ("cli", ["tabulate", "--family", "cone-M", "-d", "1", "-p", "nan", "-q", "0", "-n", "1"], "p"),
+    ("cli", ["tabulate", "--family", "surf-N", "-d", "2", "-p", "inf", "-n", "1"], "p"),
+    ("cli", ["tabulate", "--family", "cone-N", "-d", "2", "--mu", "nan", "-p", "30", "-n", "1"], "mu"),
+    ("cli", ["eval", "--family", "cone-L", "-d", "1", "--beta", "nan", "-n", "1",
+             "--point", "0.5,1.0"], "beta"),
+    ("api", {"family": "cone-N", "d": "2", "mu": 0.5, "p": 30.0, "n_max": 2}, "d"),
+    ("api", {"family": "surf-N", "d": 2.5, "p": 30.0, "n_max": 2}, "d"),
 ]
 
 
@@ -227,5 +237,32 @@ def test_malformed_descriptor_is_a_domain_error_naming_the_field(via, payload, f
         with pytest.raises(DomainError, match=named):
             run_suite("all", payload)
     else:
-        assert main(["verify", *payload]) == 2
+        assert main(payload) == 2
         assert re.search(named, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "desc,inequality",
+    [
+        ({"family": "cone-M", "d": 2, "mu": 1.0, "p": 30.0, "q": -4.5, "n_max": 2}, "q > -2*mu - d"),
+        ({"family": "surf-M", "d": 2, "p": 30.0, "q": -2.5, "n_max": 2}, "q > -d"),
+    ],
+)
+def test_limit_below_the_m_window_names_it(desc, inequality):
+    # the Laguerre target sits at q, so the M shape window guards it
+    with pytest.raises(ValidityError, match=re.escape(f"requires {inequality} (")):
+        run_suite("limit", desc)
+    rep = run_suite("limit", dict(desc, probe=True))
+    assert [c.detail.split(" (")[0] for c in rep.checks] == [
+        f"validity window violated: requires {inequality}"
+    ]
+
+
+def test_descriptor_defaults():
+    spec = parse_descriptor({"family": "cone-N", "p": 30.0, "n_max": 2})
+    assert (spec.params.d, spec.params.mu, spec.convention) == (1, 0.5, "orthonormal")
+    surf = {"family": "surf-N", "p": 30.0, "n_max": 2}
+    assert parse_descriptor(surf).params.d == 2
+    for suite in ("dims", "all"):
+        rep = run_suite(suite, surf)
+        assert rep.passed, [c for c in rep.checks if c.verdict == "fail"]
