@@ -21,13 +21,16 @@ _WINDOW_HELP = (
     "validity windows: uni-M/uni-N orthogonal up to degree N only while p > 2N+1 "
     "(and q > -1); cone-M needs p > 2N+2*mu+d and q > -2*mu-d; cone-N needs "
     "p > 2N+2*mu+d; surf-M needs p > 2N+d and q > -d; surf-N needs p > 2N+d; "
-    "the Laguerre families need beta > -d"
+    "the Laguerre families need beta > -d (cone-L with mu < 0: beta > -2*mu-d)"
 )
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True, choices=FAMILIES, help=_WINDOW_HELP)
-    sub.add_argument("-d", "--dim", type=int, default=1, help="ambient x-dimension d (1, 2 or 3)")
+    sub.add_argument(
+        "-d", "--dim", type=int, default=None,
+        help="ambient x-dimension d (1, 2 or 3); default 1 on the solid cone, 2 on the surface",
+    )
     sub.add_argument("--mu", type=float, default=0.5, help="cone weight exponent mu > -1/2")
     sub.add_argument("-p", type=float, default=None, help="family parameter p (see validity windows)")
     sub.add_argument("-q", type=float, default=None, help="family parameter q (see validity windows)")
@@ -52,11 +55,12 @@ def _float(text: str, what: str) -> float:
 def _descriptor(args) -> dict:
     desc = {
         "family": args.family,
-        "d": args.dim,
         "mu": args.mu,
         "n_max": args.n_max,
         "convention": args.convention,
     }
+    if args.dim is not None:
+        desc["d"] = args.dim
     if args.p is not None:
         desc["p"] = args.p
     if args.q is not None:
@@ -67,7 +71,8 @@ def _descriptor(args) -> dict:
 
 
 def _build_elements(args):
-    """Family-dispatched basis construction for tabulate/eval."""
+    """Family-dispatched basis construction for tabulate/eval: the parsed
+    descriptor and the (label, polynomial) pairs."""
     spec = parse_descriptor(_descriptor(args))
     params, n_max = spec.params, spec.n_max
     if args.family.startswith("uni"):
@@ -75,7 +80,7 @@ def _build_elements(args):
 
         params.require_valid(n_max)
         build = coeffs_m if args.family == "uni-M" else coeffs_n
-        return [(f"n{n}", build(n, params)) for n in range(n_max + 1)]
+        return spec, [(f"n{n}", build(n, params)) for n in range(n_max + 1)]
     if args.family.startswith("cone"):
         from .cone_solid import cone_basis
 
@@ -84,11 +89,12 @@ def _build_elements(args):
         from .cone_surface import surface_basis
 
         elements = [el for n in range(n_max + 1) for el in surface_basis(params, n)]
-    return [(el.label, el.poly) for el in elements]
+    return spec, [(el.label, el.poly) for el in elements]
 
 
 def cmd_tabulate(args) -> int:
-    for label, poly in _build_elements(args):
+    _, elements = _build_elements(args)
+    for label, poly in elements:
         if hasattr(poly, "render"):
             print(f"{label}: {poly.render()}")
         else:
@@ -112,7 +118,7 @@ def _parse_points(texts, dim: int):
 
 
 def cmd_eval(args) -> int:
-    elements = _build_elements(args)
+    spec, elements = _build_elements(args)
     if args.element is not None:
         elements = [e for e in elements if e[0] == args.element]
         if not elements:
@@ -122,7 +128,7 @@ def cmd_eval(args) -> int:
             for label, poly in elements:
                 print(f"{label}({x:g}) = {poly(x):.12g}")
         return 0
-    points = _parse_points(args.point, args.dim)
+    points = _parse_points(args.point, spec.params.d)
     on_surface = args.family.startswith("surf")
     for pt in points:
         x, t = pt[:-1], pt[-1]

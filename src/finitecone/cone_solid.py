@@ -11,7 +11,7 @@ quadrature enters only through the Gram matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -41,9 +41,13 @@ class ConeFamilyParams(ShiftedRadial):
     family "L": weight (t^2-|x|^2)^(mu-1/2) t^beta exp(-t), infinite.
 
     The radial factors are shifted by c = 2*mu + d - 1.  The L
-    family keeps its own window beta > -d; limit_target marks an L bundle
+    family keeps its own window beta > -d, narrowed to the integrability
+    edge beta > -2*mu - d when mu < 0; limit_target marks an L bundle
     built as the p -> inf limit of the M family at q = beta, whose
     identities hold on the M window q > -2*mu - d instead.
+
+    A bundle builds its operator and each angular basis once, on first
+    use, and hands the same objects to every later check.
     """
 
     d: int
@@ -53,10 +57,30 @@ class ConeFamilyParams(ShiftedRadial):
     q: Optional[float] = None
     beta: Optional[float] = None
     limit_target: bool = False
+    _angular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def shift(self) -> Shift:
         return solid_shift(self.d, self.mu)
+
+    @cached_property
+    def operator(self) -> OperatorSpec:
+        """The family's exact operator: solid_m_operator (M, whose identity
+        holds at q = 0), diffdiff_operator (N) or laguerre_operator (L)."""
+        if self.family == "M":
+            return solid_m_operator(self.d, self.mu, self.p)
+        if self.family == "N":
+            return diffdiff_operator(self.d, self.mu, self.p)
+        return laguerre_operator(self.d, self.mu)
+
+    def angular(self, m: int, convention: str = "orthonormal") -> tuple:
+        """(ball element, its homogenization t^m P(x/t)) pairs of the
+        degree-m ball basis."""
+        key = (m, convention)
+        if key not in self._angular:
+            bb = ball_basis(self.d, self.mu, m, convention)
+            self._angular[key] = tuple((b, homogenize(b.poly, m)) for b in bb.elements)
+        return self._angular[key]
 
     def require_valid(self, n: int) -> None:
         """Validity window for orthogonality up to degree n."""
@@ -66,6 +90,8 @@ class ConeFamilyParams(ShiftedRadial):
             super().require_valid(n)
         elif self.limit_target:
             self.require_shape(self.beta, "q")
+        elif self.mu < 0:
+            self.require_shape(self.beta, "beta")
         elif self.beta <= -self.d:
             raise ValidityError("beta > -d", f"beta = {self.beta}, d = {self.d}")
 
@@ -106,10 +132,9 @@ def cone_basis(params: ConeFamilyParams, n: int, convention: str = "orthonormal"
     out = []
     for m in range(n + 1):
         radial = params.radial(n, m)
-        bb = ball_basis(params.d, params.mu, m, convention)
+        angular = params.angular(m, convention)
         rad_mp = MultiPoly.from_unipoly_t(radial, params.d)
-        for k, belem in enumerate(bb.elements):
-            ang = homogenize(belem.poly, m)
+        for k, (belem, ang) in enumerate(angular):
             out.append(ConeBasisElement(n, m, k, radial, belem, ang, rad_mp * ang))
     if len(out) != cone_dimension(params.d, n):
         raise DomainError(
@@ -187,9 +212,8 @@ def operator_residual_m(params: ConeFamilyParams, element: ConeBasisElement) -> 
         raise QNotZeroError(
             "the second-order operator has degree-only eigenvalues just for q = 0"
         )
-    op = solid_m_operator(params.d, params.mu, params.p)
     eig = element.n * (element.n - params.p + 2 * params.mu + params.d)
-    return apply_operator(op, element.poly) - element.poly.scale(eig)
+    return apply_operator(params.operator, element.poly) - element.poly.scale(eig)
 
 
 def diffdiff_operator(d: int, mu: float, p: float) -> OperatorSpec:
@@ -222,7 +246,7 @@ def diffdiff_residual_n(params: ConeFamilyParams, element: ConeBasisElement) -> 
         raise DomainError("difference-differential identity applies to the N family")
     n, m = element.n, element.m
     d, mu, p = params.d, params.mu, params.p
-    lhs = apply_operator(diffdiff_operator(d, mu, p), element.poly)
+    lhs = apply_operator(params.operator, element.poly)
     rhs = element.poly.scale(n * (n + 2 * mu + d - p))
     if n > m:
         comp = companion_element_n(params, element)
@@ -292,8 +316,7 @@ def recurrence_residual(
     if n < m + 1:
         raise DomainError("recurrence check needs n >= m + 1")
     params.require_valid(n + 1)
-    bb = ball_basis(params.d, params.mu, m, "orthonormal")
-    ang = homogenize(bb.elements[ball_index].poly, m)
+    ang = params.angular(m)[ball_index][1]
     d = params.d
 
     def elem(k: int) -> MultiPoly:
@@ -339,8 +362,7 @@ def laguerre_operator(d: int, mu: float) -> OperatorSpec:
 def laguerre_pde_residual(params: ConeFamilyParams, element: ConeBasisElement) -> MultiPoly:
     if params.family != "L" or params.beta != 0.0:
         raise DomainError("the degree-only eigenvalue holds at beta = 0")
-    op = laguerre_operator(params.d, params.mu)
-    return apply_operator(op, element.poly) + element.poly.scale(element.n)
+    return apply_operator(params.operator, element.poly) + element.poly.scale(element.n)
 
 
 def _directions(d: int):
@@ -397,8 +419,7 @@ def limit_to_laguerre(
     if params.family != "M":
         raise DomainError("the limit relation starts from the M family")
     d, mu, q = params.d, params.mu, params.q
-    bb = ball_basis(d, mu, m, "orthonormal")
-    ang = homogenize(bb.elements[ball_index].poly, m)
+    ang = params.angular(m)[ball_index][1]
     params.require_shape(q, "q")
     target_radial = ConeFamilyParams(d, mu, "L", beta=q, limit_target=True).radial(n, m)
     sign = -1.0 if (n - m) % 2 else 1.0

@@ -10,7 +10,7 @@ needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -33,7 +33,8 @@ class SurfaceParams(ShiftedRadial):
     shifted by c = d - 1.
 
     d = 1 (two rays) is permitted for construction, but the differential
-    identities assume d >= 2.
+    identities assume d >= 2.  A bundle builds each harmonic basis once, on
+    first use.
     """
 
     d: int
@@ -41,6 +42,7 @@ class SurfaceParams(ShiftedRadial):
     p: Optional[float] = None
     q: Optional[float] = None
     beta: Optional[float] = None
+    _harmonics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -50,6 +52,12 @@ class SurfaceParams(ShiftedRadial):
     @cached_property
     def shift(self) -> Shift:
         return surface_shift(self.d)
+
+    def harmonics(self, m: int) -> tuple:
+        """The degree-m harmonics Y_{m,l}, l = 1, 2, ..."""
+        if m not in self._harmonics:
+            self._harmonics[m] = harmonic_basis(self.d, m).elements
+        return self._harmonics[m]
 
 
 @dataclass(frozen=True)
@@ -78,13 +86,13 @@ def surface_basis(params: SurfaceParams, n: int):
     params.require_valid(n)
     out = []
     for m in range(n + 1):
-        harm = harmonic_basis(params.d, m)
-        if not harm.elements:
+        harm = params.harmonics(m)
+        if not harm:
             continue
         radial = params.radial(n, m)
         rad_mp = MultiPoly.from_unipoly_t(radial, params.d)
         g = radial.shift_up(m)
-        for l, y in enumerate(harm.elements, start=1):
+        for l, y in enumerate(harm, start=1):
             out.append(SurfaceElement(n, m, l, radial, y, rad_mp * y, g))
     if len(out) != surface_dimension(params.d, n):
         raise DomainError(
@@ -201,7 +209,7 @@ def surface_limit_m(
     if params.family != "M":
         raise DomainError("the limit relation starts from the M family")
     d, q = params.d, params.q
-    harm = harmonic_basis(d, m).elements
+    harm = params.harmonics(m)
     if not harm or l > len(harm):
         raise DomainError(f"no harmonic index {l} at degree {m} for d = {d}")
     y = harm[l - 1]

@@ -11,6 +11,8 @@ operator is exact polynomial arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
 
 import numpy as np
 
@@ -91,7 +93,7 @@ class MultiPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0.0) + c1 * c2
         return MultiPoly(self.dim_x, _normalize(out))
 
@@ -265,26 +267,71 @@ class OperatorSpec:
                     elementary.append((coeff, tuple(d)))
         return OperatorSpec(dim_x, tuple(elementary))
 
+    @cached_property
+    def compiled(self) -> tuple:
+        """The terms as apply_operator walks them, compiled once: per
+        elementary term its nonzero (slot, order) derivative steps and its
+        coefficient monomials as (exponent shift f - deriv, coefficient)."""
+        return tuple(
+            (
+                tuple((slot, order) for slot, order in enumerate(deriv) if order),
+                tuple(
+                    (tuple(f_i - d_i for f_i, d_i in zip(f, deriv)), c)
+                    for f, c in coeff.terms.items()
+                ),
+            )
+            for coeff, deriv in self.terms
+        )
+
+
+def _derivatives(items, steps) -> list:
+    """(e, c * falling factorials) of the terms that survive the derivative
+    steps, in term order; the factorials multiply in one at a time, slot by
+    slot, as repeated partial() calls would."""
+    out = []
+    for e, c in items:
+        for slot, order in steps:
+            k = e[slot]
+            if k < order:
+                break
+            for j in range(order):
+                c = c * (k - j)
+        else:
+            out.append((e, c))
+    return out
+
 
 def apply_operator(op: OperatorSpec, p: MultiPoly) -> MultiPoly:
-    """Apply the expanded linear differential operator; exact."""
+    """Apply the expanded linear differential operator; exact.
+
+    One pass over p per elementary term, in the floating-point order of
+    differentiating, multiplying by the coefficient and adding term by term:
+    each term's sum runs over (coefficient monomial, p monomial) pairs
+    before it joins the output, and exact zeros are dropped at the end."""
     if op.dim_x != p.dim_x:
         raise DimensionMismatch(f"operator dim_x {op.dim_x} vs polynomial {p.dim_x}")
-    out = MultiPoly.zero(p.dim_x)
-    for coeff, deriv in op.terms:
-        q = p
-        for slot, order in enumerate(deriv):
-            var = VAR_T if slot == p.dim_x else slot
-            for _ in range(order):
-                q = q.partial(var)
-                if q.is_zero():
-                    break
-            if q.is_zero():
-                break
-        if q.is_zero():
+    items = list(p.terms.items())
+    derived: dict = {}  # terms sharing a derivative multi-index share its table
+    out: dict = {}
+    for steps, monomials in op.compiled:
+        dq = derived.get(steps)
+        if dq is None:
+            dq = derived[steps] = _derivatives(items, steps) if steps else items
+        if len(monomials) == 1:
+            # one contribution per output monomial: the term sum is the product
+            ((shift, cf),) = monomials
+            for e, c in dq:
+                k = tuple(map(add, e, shift))
+                out[k] = out.get(k, 0.0) + cf * c
             continue
-        out = out + coeff * q
-    return out
+        term: dict = {}
+        for shift, cf in monomials:
+            for e, c in dq:
+                k = tuple(map(add, e, shift))
+                term[k] = term.get(k, 0.0) + cf * c
+        for k, c in term.items():
+            out[k] = out.get(k, 0.0) + c
+    return MultiPoly(p.dim_x, _normalize(out))
 
 
 def euler_operator(dim_x: int) -> OperatorSpec:

@@ -60,6 +60,30 @@ def test_eval_samples(capsys):
     assert out.count("= 1") == 2
 
 
+def test_dim_defaults_per_family(capsys, tmp_path):
+    # without -d the descriptor's per-family default applies: d = 2 on the
+    # surface, where the diffdiff identity is certified, d = 1 on the cone
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "verify", "--family", "surf-N", "-p", "30", "-n", "2",
+        "--format", "json", "--out", str(out_file),
+    )
+    assert code == 0
+    report = json.loads(out_file.read_text())
+    assert "d" not in report["descriptor"]
+    names = [c["name"] for c in report["checks"]]
+    assert "diffdiff/skipped" not in names
+    assert any(name.startswith("diffdiff/n2.") for name in names)
+    code, _, _ = run_cli(
+        capsys, "eval", "--family", "surf-M", "-p", "20", "-q", "0", "-n", "1",
+        "--point", "0.6,0.8,1.0",
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "tabulate", "--family", "cone-N", "-p", "10", "-n", "1")
+    assert code == 0
+    assert out.strip().splitlines()[-1].endswith("*x")  # one x variable: d = 1
+
+
 def test_eval_outside_cone_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--family", "cone-M", "-d", "1", "--mu", "0.5",

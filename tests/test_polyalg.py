@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finitecone.ball import ball_operator_spec
+from finitecone.cone_solid import diffdiff_operator, laguerre_operator, solid_m_operator
 from finitecone.errors import DimensionMismatch, DomainError, ParityError
 from finitecone.polyalg import (
     VAR_T,
@@ -213,3 +217,54 @@ def test_unipoly_basics():
     assert u.shift_up(2).coeffs == (0.0, 0.0, 0.0, 1.0)
     assert (u - u).is_zero()
     assert UniPoly((1.0, -3.0, 2.0)).max_abs() == 3.0
+
+
+def apply_operator_termwise(op, p):
+    """The term-by-term algorithm apply_operator replaces: differentiate
+    through partial(), multiply by the coefficient, add into the output."""
+    out = MultiPoly.zero(p.dim_x)
+    for coeff, deriv in op.terms:
+        q = p
+        for slot, order in enumerate(deriv):
+            var = VAR_T if slot == p.dim_x else slot
+            for _ in range(order):
+                q = q.partial(var)
+        if not q.is_zero():
+            out = out + coeff * q
+    return out
+
+
+_OPERATORS = (
+    ("solid_m_operator", lambda d, mu, p: solid_m_operator(d, mu, p)),
+    ("diffdiff_operator", lambda d, mu, p: diffdiff_operator(d, mu, p)),
+    ("laguerre_operator", lambda d, mu, p: laguerre_operator(d, mu)),
+    ("ball_operator_spec", lambda d, mu, p: ball_operator_spec(d, mu)),
+    ("euler_operator", lambda d, mu, p: euler_operator(d)),
+    ("laplacian_x", lambda d, mu, p: laplacian_x(d)),
+)
+
+
+@st.composite
+def sparse_polys(draw):
+    d = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 5)] * (d + 1))
+    coeffs = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False).filter(bool)
+    return MultiPoly(d, draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sparse_polys(),
+    st.sampled_from(_OPERATORS),
+    st.floats(-0.45, 3.0),
+    st.floats(0.5, 80.0),
+)
+def test_one_pass_kernel_matches_termwise_bit_for_bit(p, named_op, mu, p_param):
+    # same key set and == on every coefficient: the kernel keeps the
+    # floating-point order of the term-by-term algorithm
+    _, build = named_op
+    op = build(p.dim_x, mu, p_param)
+    got = apply_operator(op, p)
+    want = apply_operator_termwise(op, p)
+    assert got.terms.keys() == want.terms.keys()
+    assert all(got.terms[e] == c for e, c in want.terms.items())

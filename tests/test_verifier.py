@@ -3,12 +3,15 @@ report determinism and serialization."""
 
 import json
 import re
+import sys
 
 import pytest
 
+from finitecone import ball
 from finitecone.cli import main
 from finitecone.cone_solid import laguerre_cone_checks
 from finitecone.errors import DegenerateDataError, DomainError, ValidityError
+from finitecone.polyalg import OperatorSpec
 from finitecone.verifier import (
     DEFAULT_THRESHOLDS,
     KNOWN_DISCREPANCY_NOTE,
@@ -211,6 +214,17 @@ def test_laguerre_cone_family_keeps_its_window():
         laguerre_cone_checks(2, 1.0, 2, beta=-4.5, limit_target=True)
 
 
+@pytest.mark.parametrize("d,inside,outside", [(1, -0.35, -0.9), (2, -1.35, -1.9)])
+def test_laguerre_cone_window_at_negative_mu(d, inside, outside):
+    # for mu < 0 the integrability edge -2*mu - d lies above -d
+    desc = {"family": "cone-L", "d": d, "mu": -0.3, "n_max": 2}
+    for suite in ("all", "recurrence"):
+        with pytest.raises(ValidityError, match=re.escape("requires beta > -2*mu - d (")):
+            run_suite(suite, dict(desc, beta=outside))
+    assert run_suite("all", dict(desc, beta=inside)).passed
+    assert run_suite("all", dict(desc, beta=0.0)).passed
+
+
 # CLI payloads start with their subcommand: tabulate and eval validate the
 # descriptor as verify does, though they never reach run_suite
 _MALFORMED = [
@@ -266,3 +280,40 @@ def test_descriptor_defaults():
     for suite in ("dims", "all"):
         rep = run_suite(suite, surf)
         assert rep.passed, [c for c in rep.checks if c.verdict == "fail"]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name: a static method when owner is a
+    class, else a function, patched in every finitecone module bound to it."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, staticmethod(counted))
+        return calls
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("finitecone") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "suite,desc",
+    [
+        ("ode", {"family": "cone-M", "d": 3, "mu": 0.5, "p": 40.0, "q": 0.0, "n_max": 5}),
+        ("diffdiff", {"family": "cone-N", "d": 3, "mu": 0.5, "p": 40.0, "n_max": 5}),
+    ],
+)
+def test_operators_and_ball_bases_are_built_once_per_suite(suite, desc, monkeypatch):
+    specs = _count_calls(monkeypatch, OperatorSpec, "from_pseudo")
+    balls = _count_calls(monkeypatch, ball, "ball_basis")
+    rep = run_suite(suite, desc)
+    assert rep.passed
+    elements = [c for c in rep.checks if c.name.startswith(f"{suite}/n")]
+    assert len(elements) == 126  # every element of degree <= 5 at d = 3
+    assert len(specs) <= 2
+    assert len(balls) <= desc["n_max"] + 1
