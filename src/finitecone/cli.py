@@ -8,6 +8,7 @@ validity error (the violated parameter window is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -223,9 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state between
+    calls, so main builds the argparse tree once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FiniteConeError as exc:

@@ -10,8 +10,9 @@ quadrature enters only through the Gram matrices.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -46,8 +47,9 @@ class ConeFamilyParams(ShiftedRadial):
     built as the p -> inf limit of the M family at q = beta, whose
     identities hold on the M window q > -2*mu - d instead.
 
-    A bundle builds its operator and each angular basis once, on first
-    use, and hands the same objects to every later check.
+    A bundle builds its operator, its p - 2 companion, each radial factor
+    and each angular basis once, on first use, and hands the same objects
+    to every later check.
     """
 
     d: int
@@ -57,7 +59,6 @@ class ConeFamilyParams(ShiftedRadial):
     q: Optional[float] = None
     beta: Optional[float] = None
     limit_target: bool = False
-    _angular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def shift(self) -> Shift:
@@ -72,6 +73,16 @@ class ConeFamilyParams(ShiftedRadial):
         if self.family == "N":
             return diffdiff_operator(self.d, self.mu, self.p)
         return laguerre_operator(self.d, self.mu)
+
+    @cached_property
+    def companion(self) -> "ConeFamilyParams":
+        """The N family at p - 2, which carries the companion term of the
+        difference-differential identity."""
+        return ConeFamilyParams(self.d, self.mu, "N", p=self.p - 2.0)
+
+    @cached_property
+    def _angular(self) -> dict:
+        return {}
 
     def angular(self, m: int, convention: str = "orthonormal") -> tuple:
         """(ball element, its homogenization t^m P(x/t)) pairs of the
@@ -114,11 +125,16 @@ class ConeBasisElement:
     radial: UniPoly
     ball: BallElement
     angular: MultiPoly  # homogenized: t^m P(x/t)
-    poly: MultiPoly
 
     @property
     def label(self) -> str:
         return f"n{self.n}.m{self.m}.k{self.k}"
+
+    @cached_property
+    def poly(self) -> MultiPoly:
+        """radial(t) * t^m P(x/t), multiplied out on first read; the Gram
+        and the dimension checks never read it."""
+        return MultiPoly.from_unipoly_t(self.radial, self.angular.dim_x) * self.angular
 
 
 def cone_dimension(d: int, n: int) -> int:
@@ -132,10 +148,8 @@ def cone_basis(params: ConeFamilyParams, n: int, convention: str = "orthonormal"
     out = []
     for m in range(n + 1):
         radial = params.radial(n, m)
-        angular = params.angular(m, convention)
-        rad_mp = MultiPoly.from_unipoly_t(radial, params.d)
-        for k, (belem, ang) in enumerate(angular):
-            out.append(ConeBasisElement(n, m, k, radial, belem, ang, rad_mp * ang))
+        for k, (belem, ang) in enumerate(params.angular(m, convention)):
+            out.append(ConeBasisElement(n, m, k, radial, belem, ang))
     if len(out) != cone_dimension(params.d, n):
         raise DomainError(
             f"internal: built {len(out)} elements, expected {cone_dimension(params.d, n)}"
@@ -233,7 +247,7 @@ def diffdiff_operator(d: int, mu: float, p: float) -> OperatorSpec:
 
 def companion_element_n(params: ConeFamilyParams, element: ConeBasisElement) -> MultiPoly:
     """The shifted companion: same angular part, degree n-1, parameter p-2."""
-    shifted = ConeFamilyParams(params.d, params.mu, "N", p=params.p - 2.0)
+    shifted = params.companion
     shifted.require_valid(element.n - 1)
     radial = shifted.radial(element.n - 1, element.m)
     return MultiPoly.from_unipoly_t(radial, params.d) * element.angular
@@ -382,15 +396,18 @@ def _directions(d: int):
     return out
 
 
+@functools.cache
 def cone_sample_grid(d: int) -> np.ndarray:
     """Deterministic evaluation grid: interior and near-boundary points of
-    the cone over five heights."""
+    the cone over five heights.  Built once per d and process, read-only."""
     pts = []
     for t in (0.4, 0.8, 1.2, 1.6, 2.0):
         for xi in _directions(d):
             for c in (0.3, 0.9):
                 pts.append([c * t * x for x in xi] + [t])
-    return np.asarray(pts)
+    grid = np.asarray(pts)
+    grid.setflags(write=False)
+    return grid
 
 
 def _p_scaled(poly: MultiPoly, p: float, m: int) -> MultiPoly:

@@ -9,8 +9,9 @@ needed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -33,8 +34,7 @@ class SurfaceParams(ShiftedRadial):
     shifted by c = d - 1.
 
     d = 1 (two rays) is permitted for construction, but the differential
-    identities assume d >= 2.  A bundle builds each harmonic basis once, on
-    first use.
+    identities assume d >= 2.
     """
 
     d: int
@@ -42,7 +42,6 @@ class SurfaceParams(ShiftedRadial):
     p: Optional[float] = None
     q: Optional[float] = None
     beta: Optional[float] = None
-    _harmonics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -53,11 +52,16 @@ class SurfaceParams(ShiftedRadial):
     def shift(self) -> Shift:
         return surface_shift(self.d)
 
+    @cached_property
+    def companion(self) -> "SurfaceParams":
+        """The N family at p - 2, which carries the companion term of the
+        difference-differential identity."""
+        return SurfaceParams(self.d, "N", p=self.p - 2.0)
+
     def harmonics(self, m: int) -> tuple:
-        """The degree-m harmonics Y_{m,l}, l = 1, 2, ..."""
-        if m not in self._harmonics:
-            self._harmonics[m] = harmonic_basis(self.d, m).elements
-        return self._harmonics[m]
+        """The degree-m harmonics Y_{m,l}, l = 1, 2, ... (built once per
+        process by harmonic_basis)."""
+        return harmonic_basis(self.d, m).elements
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,17 @@ class SurfaceElement:
     l: int  # 1-based harmonic index
     radial: UniPoly
     harmonic: MultiPoly
-    poly: MultiPoly  # radial(t) * Y(x), a representative mod |x|^2 - t^2
     g: UniPoly  # radial(t) * t^m, the reduced univariate carrier
 
     @property
     def label(self) -> str:
         return f"n{self.n}.m{self.m}.l{self.l}"
+
+    @cached_property
+    def poly(self) -> MultiPoly:
+        """radial(t) * Y(x), a representative mod |x|^2 - t^2, multiplied
+        out on first read; no certificate reads it."""
+        return MultiPoly.from_unipoly_t(self.radial, self.harmonic.dim_x) * self.harmonic
 
 
 def surface_dimension(d: int, n: int) -> int:
@@ -90,10 +99,9 @@ def surface_basis(params: SurfaceParams, n: int):
         if not harm:
             continue
         radial = params.radial(n, m)
-        rad_mp = MultiPoly.from_unipoly_t(radial, params.d)
         g = radial.shift_up(m)
         for l, y in enumerate(harm, start=1):
-            out.append(SurfaceElement(n, m, l, radial, y, rad_mp * y, g))
+            out.append(SurfaceElement(n, m, l, radial, y, g))
     if len(out) != surface_dimension(params.d, n):
         raise DomainError(
             f"internal: built {len(out)} elements, expected {surface_dimension(params.d, n)}"
@@ -173,7 +181,7 @@ def surface_diffdiff_residual_n(params: SurfaceParams, element: SurfaceElement) 
     lhs = g2.shift_up(2) + g1.shift_up(1).scale(1 - p + d)
     rhs = g.scale(n * (n - p + d))
     if n > m:
-        shifted = SurfaceParams(d, "N", p=p - 2.0)
+        shifted = params.companion
         shifted.require_valid(n - 1)
         comp = shifted.radial(n - 1, m).shift_up(m)
         rhs = rhs + comp.scale((m - n) * (p - n - m - d))
@@ -199,6 +207,19 @@ def laguerre_surface_ode_residual(d: int, n: int, m: int, beta: float = -1.0) ->
     )
 
 
+@functools.cache
+def surface_sample_grid(d: int) -> np.ndarray:
+    """cone_sample_grid(d) projected onto the surface, x = t xi with xi the
+    unit direction of the cone point.  Built once per d and process,
+    read-only."""
+    grid = np.array([
+        list(np.asarray(pt[:d]) / np.linalg.norm(pt[:d]) * pt[d]) + [pt[d]]
+        for pt in cone_sample_grid(d)
+    ])
+    grid.setflags(write=False)
+    return grid
+
+
 def surface_limit_m(
     params: SurfaceParams, n: int, m: int, l: int = 1, p_grid=(1e2, 1e3, 1e4)
 ) -> LimitReport:
@@ -216,9 +237,7 @@ def surface_limit_m(
     params.require_shape(q, "q")
     sign = -1.0 if (n - m) % 2 else 1.0
     target_radial = SurfaceParams(d, "L", beta=q).radial(n, m).scale(sign * factorial_real(n - m))
-    grid = cone_sample_grid(d)
-    # evaluation points sit on the surface: x = t xi
-    grid = np.array([list(np.asarray(pt[:d]) / np.linalg.norm(pt[:d]) * pt[d]) + [pt[d]] for pt in grid])
+    grid = surface_sample_grid(d)
     deviations = []
     for p in p_grid:
         trial = SurfaceParams(d, "M", p=float(p), q=q)

@@ -8,6 +8,7 @@ measure normalized by its total 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,11 +151,14 @@ def _generators(d: int, m: int):
     return _basis_d3(m)
 
 
+@functools.cache
 def harmonic_basis(d: int, m: int, normalized: bool = True) -> HarmonicBasis:
     """Basis of the degree-m harmonics; empty when none exist.
 
     normalized=True rescales so the sphere average of the square is one;
     normalized=False returns the raw dyadic generators (exactly harmonic).
+    The basis depends on nothing but its arguments, so each is built once
+    per process and shared by every caller; treat it as read-only.
     """
     if d not in SUPPORTED_DIMS:
         raise UnsupportedDimension(f"d = {d}, supported: {SUPPORTED_DIMS}")

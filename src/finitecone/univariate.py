@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import DegenerateParamError, DomainError, ValidityError
@@ -371,17 +372,25 @@ class ShiftedRadial:
             return NParams(self.p - c - 2 * m)
         return self.beta + c + 2 * m
 
+    @cached_property
+    def _radials(self) -> dict:
+        return {}
+
     def radial(self, n: int, m: int, source: str = "recurrence") -> UniPoly:
         """Radial factor of the degree-n element of angular degree m, by the
         recurrence or, for M and N, by the Rodrigues oracle (source
-        "rodrigues")."""
-        rodrigues = source == "rodrigues"
-        build = {
-            "M": coeffs_m_rodrigues if rodrigues else coeffs_m,
-            "N": coeffs_n_rodrigues if rodrigues else coeffs_n,
-            "L": coeffs_laguerre,
-        }[self.family]
-        return build(n - m, self._shifted(m))
+        "rodrigues"; the L family has only the recurrence).  A bundle builds
+        each once and hands it to every later caller."""
+        rodrigues = source == "rodrigues" and self.family != "L"
+        key = (n, m, rodrigues)
+        if key not in self._radials:
+            build = {
+                "M": coeffs_m_rodrigues if rodrigues else coeffs_m,
+                "N": coeffs_n_rodrigues if rodrigues else coeffs_n,
+                "L": coeffs_laguerre,
+            }[self.family]
+            self._radials[key] = build(n - m, self._shifted(m))
+        return self._radials[key]
 
     def values(self, n: int, m: int, ts):
         """Radial factor at the points ts by the forward recurrence, which

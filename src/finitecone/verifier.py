@@ -64,6 +64,8 @@ from .univariate import (
     coeffs_n,
     coeffs_n_rodrigues,
     derivative_relation_residual,
+    eval_m,
+    eval_n,
     laguerre_limit_error_m,
     norm_m,
     norm_n,
@@ -314,6 +316,7 @@ def _dims_checks(spec: ParsedDescriptor, col: _Collector, th):
     if spec.family.startswith("cone"):
         def run():
             euler = euler_operator(d)
+            homogeneity = []  # Euler residual of each angular factor, m then k
             for n in range(n_max + 1):
                 elems = cone_basis(params, n, spec.convention)
                 col.add(
@@ -329,10 +332,12 @@ def _dims_checks(spec: ParsedDescriptor, col: _Collector, th):
                     float(abs(ball_total - cone_dimension(d, n))),
                     0.0,
                 )
-                worst = 0.0
-                for el in elems:
-                    res = apply_operator(euler, el.angular) - el.angular.scale(el.m)
-                    worst = max(worst, res.rel_residual_against(el.angular))
+                # degree n adds the angular factors of degree m = n
+                homogeneity.extend(
+                    (apply_operator(euler, ang) - ang.scale(n)).rel_residual_against(ang)
+                    for _, ang in params.angular(n, spec.convention)
+                )
+                worst = max([0.0, *homogeneity])
                 col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
 
         col.guarded("dims/solid", "basis-dimension", run)
@@ -363,19 +368,18 @@ def _uni_gram(spec: ParsedDescriptor, col: _Collector, th):
     def run():
         params.require_valid(n_max)
         if spec.family == "uni-M":
-            weight = WeightMPQ(params.p, params.q)
-            polys = [coeffs_m(n, params) for n in range(n_max + 1)]
-            expected = [norm_m(n, params) for n in range(n_max + 1)]
+            weight, evaluate, norm = WeightMPQ(params.p, params.q), eval_m, norm_m
         else:
-            weight = WeightInvExp(params.p)
-            polys = [coeffs_n(n, params) for n in range(n_max + 1)]
-            expected = [norm_n(n, params) for n in range(n_max + 1)]
+            weight, evaluate, norm = WeightInvExp(params.p), eval_n, norm_n
         rule = weight.rule(2 * n_max, normalized=True)
-        gram = np.zeros((n_max + 1, n_max + 1))
-        for i in range(n_max + 1):
-            for j in range(i + 1):
-                gram[i, j] = gram[j, i] = rule.integrate(polys[i] * polys[j])
-        exp = np.array(expected)
+        # G = R W R^T with R the recurrence values at the nodes, as in
+        # gram.separable_gram: the coefficient form of p_i p_j cancels.
+        ts = np.asarray(rule.nodes)
+        values = np.vstack(
+            [np.broadcast_to(evaluate(n, params, ts), ts.shape) for n in range(n_max + 1)]
+        )
+        gram = (values * np.asarray(rule.weights)) @ values.T
+        exp = np.array([norm(n, params) for n in range(n_max + 1)])
         off = gram / np.sqrt(np.outer(exp, exp))
         off = off - np.diag(np.diag(off))
         col.add("gram/unit-norm", "normalization-unit", abs(rule.total_weight - 1.0), th["unit_norm"])

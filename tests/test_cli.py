@@ -6,6 +6,9 @@ import io
 import json
 import os
 
+import pytest
+
+from finitecone import cli
 from finitecone.cli import main
 
 
@@ -230,3 +233,24 @@ def test_unknown_threshold(capsys):
     )
     assert code == 2
     assert "unknown threshold" in err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    argv = ("verify", "--family", "surf-N", "-p", "30", "-n", "2", "--suite", "dims")
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "cone-Q", "-p", "30"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0 and "overall: PASS" in first[1]
+    assert len(builds) == 1

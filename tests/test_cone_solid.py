@@ -30,7 +30,7 @@ from finitecone.errors import (
     QNotZeroError,
     ValidityError,
 )
-from finitecone.polyalg import apply_operator
+from finitecone.polyalg import MultiPoly, apply_operator
 from finitecone.quadrature import integrate_cone
 
 
@@ -273,6 +273,46 @@ def test_sample_grid_inside_cone():
         for pt in grid:
             x, t = pt[:-1], pt[-1]
             assert np.linalg.norm(x) <= t + 1e-12
+
+
+def test_sample_grid_is_built_once_and_read_only():
+    for d in (1, 2, 3):
+        grid = cone_sample_grid(d)
+        assert grid is cone_sample_grid(d)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        fresh = cone_sample_grid.__wrapped__(d)
+        assert fresh is not grid and np.array_equal(fresh, grid)
+
+
+_LAZY_CASES = [
+    (ConeFamilyParams(d, 0.5, family, p=30.0, q=0.5, beta=0.3), "orthonormal")
+    for d in (1, 2, 3)
+    for family in ("M", "N", "L")
+] + [(mp(d=1, mu=0.7, p=30.0, q=0.5), "paper-gegenbauer")]
+
+
+@pytest.mark.parametrize("params,convention", _LAZY_CASES)
+def test_poly_is_built_on_first_read_as_the_eager_product(params, convention):
+    """poly stays unbuilt through the Gram, and on read equals the product
+    radial(t) * t^m P(x/t) multiplied out once per (n, m): same keys, == on
+    every coefficient."""
+    n_max = 4
+    elements = cone_gram(params, n_max, convention).elements
+    assert len(elements) == math.comb(n_max + params.d + 1, n_max)
+    assert not any("poly" in vars(el) for el in elements)
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            rad_mp = MultiPoly.from_unipoly_t(params.radial(n, m), params.d)
+            built = [el for el in elements if (el.n, el.m) == (n, m)]
+            angular = params.angular(m, convention)
+            assert len(built) == len(angular)
+            for el, (_, ang) in zip(built, angular):
+                eager = rad_mp * ang
+                assert el.poly.terms.keys() == eager.terms.keys()
+                assert all(el.poly.terms[e] == c for e, c in eager.terms.items())
+                assert el.poly is el.poly
 
 
 def test_expected_sq_norm_orthonormal_is_cone_norm():

@@ -4,8 +4,10 @@ Laguerre limit."""
 
 import math
 
+import numpy as np
 import pytest
 
+from finitecone.cone_solid import cone_sample_grid
 from finitecone.cone_surface import (
     SurfaceParams,
     laguerre_surface_ode_residual,
@@ -17,6 +19,7 @@ from finitecone.cone_surface import (
     surface_limit_m,
     surface_norm,
     surface_ode_residual_m,
+    surface_sample_grid,
 )
 from finitecone.errors import (
     DomainError,
@@ -24,7 +27,8 @@ from finitecone.errors import (
     UnsupportedDimension,
     ValidityError,
 )
-from finitecone.harmonics import dim_harmonic
+from finitecone.harmonics import dim_harmonic, harmonic_basis
+from finitecone.polyalg import MultiPoly
 from finitecone.quadrature import integrate_surface
 from finitecone.scalars import gamma_fn
 
@@ -197,3 +201,33 @@ def test_harmonic_split_matches_dimension():
     for d in (2, 3):
         for n in range(7):
             assert sum(dim_harmonic(d, m) for m in range(n + 1)) == surface_dimension(d, n)
+
+
+def test_sample_grid_is_built_once_read_only_and_on_the_surface():
+    for d in (1, 2, 3):
+        grid = surface_sample_grid(d)
+        assert grid is surface_sample_grid(d)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        fresh = np.array([
+            list(np.asarray(pt[:d]) / np.linalg.norm(pt[:d]) * pt[d]) + [pt[d]]
+            for pt in cone_sample_grid.__wrapped__(d)
+        ])
+        assert np.array_equal(fresh, grid)
+        assert np.allclose(np.linalg.norm(grid[:, :d], axis=1), grid[:, d], rtol=1e-14)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("family", ("M", "N", "L"))
+def test_poly_is_built_on_first_read_as_the_eager_product(d, family):
+    params = SurfaceParams(d, family, p=30.0, q=-0.5, beta=0.5)
+    n_max = 4
+    elements = surface_gram(params, n_max).elements
+    assert len(elements) == sum(surface_dimension(d, n) for n in range(n_max + 1))
+    assert not any("poly" in vars(el) for el in elements)
+    for el in elements:
+        assert el.harmonic is harmonic_basis(d, el.m).elements[el.l - 1]
+        eager = MultiPoly.from_unipoly_t(params.radial(el.n, el.m), d) * el.harmonic
+        assert el.poly.terms.keys() == eager.terms.keys()
+        assert all(el.poly.terms[e] == c for e, c in eager.terms.items())

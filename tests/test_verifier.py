@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from finitecone import ball
+from finitecone import ball, harmonics, univariate
 from finitecone.cli import main
-from finitecone.cone_solid import laguerre_cone_checks
+from finitecone.cone_solid import ConeFamilyParams, cone_basis, laguerre_cone_checks
 from finitecone.errors import DegenerateDataError, DomainError, ValidityError
-from finitecone.polyalg import OperatorSpec
+from finitecone.polyalg import OperatorSpec, apply_operator, euler_operator
 from finitecone.verifier import (
     DEFAULT_THRESHOLDS,
     KNOWN_DISCREPANCY_NOTE,
@@ -72,6 +72,14 @@ def test_uni_gram_suite():
     assert rep.passed
     with pytest.raises(ValidityError):
         run_suite("gram", {"family": "uni-M", "p": 12.0, "q": 0.0, "n_max": 6})
+
+
+@pytest.mark.parametrize("p", (629.9997061636725, 66.5))
+def test_uni_n_gram_at_low_degree(p):
+    """The Gram comes from recurrence values at the rule nodes; the
+    coefficient form of p_i p_j cancelled here to 3.7e-6 (p = 629.99...)."""
+    rep = run_suite("gram", {"family": "uni-N", "p": p, "n_max": 4})
+    assert rep.passed, [(c.name, c.metric) for c in rep.checks]
 
 
 def test_all_suite_every_family():
@@ -317,3 +325,55 @@ def test_operators_and_ball_bases_are_built_once_per_suite(suite, desc, monkeypa
     assert len(elements) == 126  # every element of degree <= 5 at d = 3
     assert len(specs) <= 2
     assert len(balls) <= desc["n_max"] + 1
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": "cone-M", "d": 2, "mu": 0.5, "p": 30.0, "q": 0.0, "n_max": 4},
+        {"family": "cone-L", "d": 3, "mu": 1.5, "beta": 0.5, "n_max": 4},
+        {"family": "cone-N", "d": 1, "mu": 0.7, "p": 30.0, "n_max": 4,
+         "convention": "paper-gegenbauer"},
+    ],
+)
+def test_dims_homogeneity_rows_match_a_per_element_oracle(desc):
+    spec = parse_descriptor(desc)
+    fresh = ConeFamilyParams(spec.params.d, spec.params.mu, spec.params.family,
+                             p=spec.params.p, q=spec.params.q, beta=spec.params.beta)
+    euler = euler_operator(fresh.d)
+    rows = {c.name: c.metric for c in run_suite("dims", desc).checks}
+    for n in range(desc["n_max"] + 1):
+        worst = 0.0
+        for el in cone_basis(fresh, n, spec.convention):
+            res = apply_operator(euler, el.angular) - el.angular.scale(el.m)
+            worst = max(worst, res.rel_residual_against(el.angular))
+        assert rows[f"dims/homogeneity/n{n}"] == worst
+
+
+def test_harmonics_are_built_once_per_d_and_m(monkeypatch):
+    harmonics.harmonic_basis.cache_clear()
+    builds = _count_calls(monkeypatch, harmonics, "_generators")
+    cone = {"family": "cone-M", "d": 3, "mu": 0.5, "p": 30.0, "q": 0.0, "n_max": 4}
+    surf = {"family": "surf-M", "d": 3, "p": 30.0, "q": -1.0, "n_max": 4}
+    for desc in (cone, surf):
+        assert run_suite("all", desc).passed
+    assert sorted(builds) == [(3, m) for m in range(5)]
+
+
+@pytest.mark.parametrize(
+    "suite,desc,builder,builds",
+    [
+        # 21 (n, m) pairs with m <= n <= 5, and the companion's 15 (n - 1, m), n > m
+        ("diffdiff", {"family": "cone-N", "d": 3, "mu": 0.5, "p": 40.0, "n_max": 5}, "coeffs_n", 36),
+        ("diffdiff", {"family": "surf-N", "d": 3, "p": 40.0, "n_max": 6}, "coeffs_n", 28 + 21),
+        # the Rodrigues radials (k, m), m <= k <= 5, of the recurrences with m <= 3
+        ("recurrence", {"family": "cone-M", "d": 2, "mu": 0.5, "p": 40.0, "q": 0.5, "n_max": 5},
+         "coeffs_m_rodrigues", 6 + 5 + 4 + 3),
+    ],
+)
+def test_each_radial_factor_is_built_once_per_bundle(suite, desc, builder, builds, monkeypatch):
+    """A bundle and its p - 2 companion build each radial factor once per
+    (n, m) and construction path, however many elements and checks read it."""
+    calls = _count_calls(monkeypatch, univariate, builder)
+    assert run_suite(suite, desc).passed
+    assert len(calls) == builds
