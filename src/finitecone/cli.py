@@ -14,9 +14,7 @@ import os
 import sys
 
 from .errors import DomainError, FiniteConeError
-from .verifier import DEFAULT_THRESHOLDS, SUITES, parse_descriptor, run_suite
-
-FAMILIES = ("uni-M", "uni-N", "cone-M", "cone-N", "cone-L", "surf-M", "surf-N", "surf-L")
+from .verifier import DEFAULT_THRESHOLDS, FAMILIES, SUITES, parse_descriptor, run_suite
 
 _WINDOW_HELP = (
     "validity windows: uni-M/uni-N orthogonal up to degree N only while p > 2N+1 "

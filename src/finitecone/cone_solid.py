@@ -157,16 +157,10 @@ def cone_basis(params: ConeFamilyParams, n: int, convention: str = "orthonormal"
     return tuple(out)
 
 
-def cone_norm(params: ConeFamilyParams, m: int, n: int) -> float:
-    """Norm square of a degree-n element with angular degree m, assuming an
-    orthonormal angular basis."""
-    return params.norm(m, n)
-
-
 def expected_sq_norm(params: ConeFamilyParams, element: ConeBasisElement) -> float:
     """Predicted Gram diagonal; picks up the angular norm when the angular
     basis is not orthonormal (paper-gegenbauer convention)."""
-    return cone_norm(params, element.m, element.n) * element.ball.sq_norm
+    return params.norm(element.m, element.n) * element.ball.sq_norm
 
 
 def cone_gram(

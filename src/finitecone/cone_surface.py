@@ -20,7 +20,7 @@ import numpy as np
 from .cone_solid import LimitReport, cone_sample_grid
 from .errors import DomainError, QNotMinusOneError, UnsupportedDimension
 from .gram import GramResult, separable_gram
-from .harmonics import dim_harmonic, harmonic_basis
+from .harmonics import harmonic_basis
 from .polyalg import MultiPoly
 from .quadrature import Shift, surface_factors, surface_shift
 from .scalars import factorial_real
@@ -109,12 +109,6 @@ def surface_basis(params: SurfaceParams, n: int):
     return tuple(out)
 
 
-def surface_norm(params: SurfaceParams, m: int, n: int) -> float:
-    """Norm square of a degree-n element with harmonic degree m under the
-    normalized surface inner product."""
-    return params.norm(m, n)
-
-
 def surface_gram(params: SurfaceParams, n_max: int) -> GramResult:
     """Gram matrix of all elements of degree <= n_max under the normalized
     surface inner product, by the x = xi t separated quadrature.
@@ -130,7 +124,7 @@ def surface_gram(params: SurfaceParams, n_max: int) -> GramResult:
         factors,
         params.values,
         lambda e: ((e.m, e.l), e.harmonic),
-        [surface_norm(params, e.m, e.n) for e in elements],
+        [params.norm(e.m, e.n) for e in elements],
     )
 
 
@@ -248,12 +242,3 @@ def surface_limit_m(
         deviations.append(float(np.max(np.abs(diff.evaluate_many(grid)))))
     exponent = convergence_fit(list(zip(p_grid, deviations)))
     return LimitReport(n, m, tuple(float(p) for p in p_grid), tuple(deviations), exponent)
-
-
-def surface_counts_match(d: int, n_max: int) -> bool:
-    """Degree-by-degree check that the harmonic split fills the space."""
-    for n in range(n_max + 1):
-        total = sum(dim_harmonic(d, m) for m in range(n + 1))
-        if total != surface_dimension(d, n):
-            return False
-    return True

@@ -289,13 +289,11 @@ def laguerre_limit_error_m(n: int, q: float, x: float, p_grid) -> list:
 
     The target is (-1)^n n! L_n^(q)(x); the error decays like 1/p.
     """
-    target = (-1.0) ** n * factorial_real(n) * eval_laguerre(n, q, x)
-    out = []
-    for p in p_grid:
-        params = MParams(float(p), q)
+    trials = [MParams(float(p), q) for p in p_grid]
+    for params in trials:  # names q > -1 before the target's alpha > -1
         params.require_valid(n)
-        out.append(abs(eval_m(n, params, x / p) - target))
-    return out
+    target = (-1.0) ** n * factorial_real(n) * eval_laguerre(n, q, x)
+    return [abs(eval_m(n, params, x / params.p) - target) for params in trials]
 
 
 # ---------------------------------------------------------------------------

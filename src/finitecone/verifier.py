@@ -20,6 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .cone_solid import (
     cone_gram,
     diffdiff_residual_n,
     laguerre_cone_checks,
+    laguerre_pde_residual,
     limit_to_laguerre,
     operator_residual_m,
     recurrence_residual,
@@ -165,17 +167,6 @@ class Report:
         return buf.getvalue()
 
 
-_FAMILY_SUITES = {
-    "uni-M": ("gram", "ode", "recurrence", "limit"),
-    "uni-N": ("gram", "ode", "recurrence"),
-    "cone-M": ("dims", "gram", "ode", "recurrence", "limit"),
-    "cone-N": ("dims", "gram", "diffdiff", "recurrence"),
-    "cone-L": ("dims", "gram", "ode", "recurrence"),
-    "surf-M": ("dims", "gram", "ode", "limit"),
-    "surf-N": ("dims", "gram", "diffdiff"),
-    "surf-L": ("dims", "gram", "ode"),
-}
-
 SUITES = ("dims", "gram", "ode", "diffdiff", "recurrence", "limit", "all")
 
 
@@ -224,17 +215,8 @@ class _Collector:
             )
 
 
-# parameters each family cannot do without; d and mu have defaults
-_REQUIRED = {
-    "uni-M": ("p", "q"),
-    "uni-N": ("p",),
-    "cone-M": ("p", "q"),
-    "cone-N": ("p",),
-    "cone-L": ("beta",),
-    "surf-M": ("p", "q"),
-    "surf-N": ("p",),
-    "surf-L": ("beta",),
-}
+# parameters each kind of family cannot do without; d and mu have defaults
+_REQUIRED = {"M": ("p", "q"), "N": ("p",), "L": ("beta",)}
 
 
 @dataclass(frozen=True)
@@ -267,11 +249,12 @@ def parse_descriptor(desc: dict) -> ParsedDescriptor:
     mu = 0.5.  Validity windows are left to the suites, so that probe mode
     can report them."""
     family = desc.get("family")
-    if family not in _FAMILY_SUITES:
-        raise DomainError(f"unknown family {family!r}; choose from {tuple(_FAMILY_SUITES)}")
+    if family not in FAMILY_SUITES:
+        raise DomainError(f"unknown family {family!r}; choose from {FAMILIES}")
     if desc.get("n_max") is None:
         raise DomainError("the descriptor needs n_max")
-    required = _REQUIRED[family]
+    domain, kind = family.split("-")
+    required = _REQUIRED[kind]
     for key in required:
         if desc.get(key) is None:
             raise DomainError(f"{family} needs {' and '.join(required)}; {key} is missing")
@@ -279,7 +262,6 @@ def parse_descriptor(desc: dict) -> ParsedDescriptor:
         value = desc.get(key)
         if value is not None and not _finite_real(value):
             raise DomainError(f"{key} must be a finite real number, got {value!r}")
-    domain, kind = family.split("-")
     n_max, d = desc["n_max"], desc.get("d", 2 if domain == "surf" else 1)
     for key, value in (("n_max", n_max), ("d", d)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -302,96 +284,104 @@ def parse_descriptor(desc: dict) -> ParsedDescriptor:
     )
 
 
-def _dims_checks(spec: ParsedDescriptor, col: _Collector, th):
+# ---------------------------------------------------------------------------
+# checks.  Each takes the row's arguments, then (spec, col, th, identity),
+# and adds its rows to col; run_suite guards it once.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """What the dims, gram and element checks read of the solid cone or
+    the surface.  The library functions sit inside lambdas, so every call
+    looks them up in this module, where a tracer may have rebound them."""
+
+    name: str  # "solid" or "surface"
+    split: str  # the per-m counts that sum to the degree-n dimension
+    split_dimension: object  # (d, m) -> count
+    dimension: object  # (d, n) -> number of degree-n elements
+    basis: object  # (params, n, convention) -> the degree-n elements
+    gram: object  # (params, n_max, convention) -> GramResult
+    carrier: object  # element -> what its residuals are relative to
+    homogeneity: bool  # whether dims checks the angular factors' degree
+
+
+SOLID = _Domain(
+    "solid", "ball-sum", ball_dimension, cone_dimension,
+    lambda params, n, convention: cone_basis(params, n, convention),
+    lambda params, n_max, convention: cone_gram(params, n_max, convention),
+    lambda el: el.poly,
+    True,
+)
+SURFACE = _Domain(
+    "surface", "harmonic-sum", dim_harmonic, surface_dimension,
+    lambda params, n, _convention: surface_basis(params, n),
+    lambda params, n_max, _convention: surface_gram(params, n_max),
+    lambda el: el.g,
+    False,
+)
+
+
+def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
     params, n_max = spec.params, spec.n_max
     d = params.d
     for m in range(n_max + 1):
         got = len(harmonic_basis(d, m).elements)
         col.add(
             f"dims/harmonic-count/m{m}",
-            "basis-dimension",
+            identity,
             float(abs(got - dim_harmonic(d, m))),
             0.0,
         )
-    if spec.family.startswith("cone"):
-        def run():
-            euler = euler_operator(d)
-            homogeneity = []  # Euler residual of each angular factor, m then k
-            for n in range(n_max + 1):
-                elems = cone_basis(params, n, spec.convention)
-                col.add(
-                    f"dims/solid-count/n{n}",
-                    "basis-dimension",
-                    float(abs(len(elems) - cone_dimension(d, n))),
-                    0.0,
-                )
-                ball_total = sum(ball_dimension(d, m) for m in range(n + 1))
-                col.add(
-                    f"dims/ball-sum/n{n}",
-                    "basis-dimension",
-                    float(abs(ball_total - cone_dimension(d, n))),
-                    0.0,
-                )
-                # degree n adds the angular factors of degree m = n
-                homogeneity.extend(
-                    (apply_operator(euler, ang) - ang.scale(n)).rel_residual_against(ang)
-                    for _, ang in params.angular(n, spec.convention)
-                )
-                worst = max([0.0, *homogeneity])
-                col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
-
-        col.guarded("dims/solid", "basis-dimension", run)
-    else:
-        def run():
-            for n in range(n_max + 1):
-                elems = surface_basis(params, n)
-                col.add(
-                    f"dims/surface-count/n{n}",
-                    "basis-dimension",
-                    float(abs(len(elems) - surface_dimension(d, n))),
-                    0.0,
-                )
-                split = sum(dim_harmonic(d, m) for m in range(n + 1))
-                col.add(
-                    f"dims/harmonic-sum/n{n}",
-                    "basis-dimension",
-                    float(abs(split - surface_dimension(d, n))),
-                    0.0,
-                )
-
-        col.guarded("dims/surface", "basis-dimension", run)
-
-
-def _uni_gram(spec: ParsedDescriptor, col: _Collector, th):
-    params, n_max = spec.params, spec.n_max
-
-    def run():
-        params.require_valid(n_max)
-        if spec.family == "uni-M":
-            weight, evaluate, norm = WeightMPQ(params.p, params.q), eval_m, norm_m
-        else:
-            weight, evaluate, norm = WeightInvExp(params.p), eval_n, norm_n
-        rule = weight.rule(2 * n_max, normalized=True)
-        # G = R W R^T with R the recurrence values at the nodes, as in
-        # gram.separable_gram: the coefficient form of p_i p_j cancels.
-        ts = np.asarray(rule.nodes)
-        values = np.vstack(
-            [np.broadcast_to(evaluate(n, params, ts), ts.shape) for n in range(n_max + 1)]
-        )
-        gram = (values * np.asarray(rule.weights)) @ values.T
-        exp = np.array([norm(n, params) for n in range(n_max + 1)])
-        off = gram / np.sqrt(np.outer(exp, exp))
-        off = off - np.diag(np.diag(off))
-        col.add("gram/unit-norm", "normalization-unit", abs(rule.total_weight - 1.0), th["unit_norm"])
-        col.add("gram/offdiag-max", "orthogonality-gram", float(np.max(np.abs(off))), th["gram_offdiag"])
+    euler = euler_operator(d) if dom.homogeneity else None
+    homogeneity = []  # Euler residual of each angular factor, m then k
+    for n in range(n_max + 1):
+        elems = dom.basis(params, n, spec.convention)
         col.add(
-            "gram/diag-rel-max",
-            "orthogonality-gram",
-            float(np.max(np.abs(np.diag(gram) - exp) / exp)),
-            th["gram_diag_rel"],
+            f"dims/{dom.name}-count/n{n}",
+            identity,
+            float(abs(len(elems) - dom.dimension(d, n))),
+            0.0,
         )
+        split = sum(dom.split_dimension(d, m) for m in range(n + 1))
+        col.add(
+            f"dims/{dom.split}/n{n}",
+            identity,
+            float(abs(split - dom.dimension(d, n))),
+            0.0,
+        )
+        if dom.homogeneity:
+            # degree n adds the angular factors of degree m = n
+            homogeneity.extend(
+                (apply_operator(euler, ang) - ang.scale(n)).rel_residual_against(ang)
+                for _, ang in params.angular(n, spec.convention)
+            )
+            worst = max([0.0, *homogeneity])
+            col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
 
-    col.guarded("gram", "orthogonality-gram", run)
+
+def _uni_gram(weight, evaluate, norm, spec: ParsedDescriptor, col: _Collector, th, identity):
+    params, n_max = spec.params, spec.n_max
+    params.require_valid(n_max)
+    rule = weight(params).rule(2 * n_max, normalized=True)
+    # G = R W R^T with R the recurrence values at the nodes, as in
+    # gram.separable_gram: the coefficient form of p_i p_j cancels.
+    ts = np.asarray(rule.nodes)
+    values = np.vstack(
+        [np.broadcast_to(evaluate(n, params, ts), ts.shape) for n in range(n_max + 1)]
+    )
+    gram = (values * np.asarray(rule.weights)) @ values.T
+    exp = np.array([norm(n, params) for n in range(n_max + 1)])
+    off = gram / np.sqrt(np.outer(exp, exp))
+    off = off - np.diag(np.diag(off))
+    col.add("gram/unit-norm", "normalization-unit", abs(rule.total_weight - 1.0), th["unit_norm"])
+    col.add("gram/offdiag-max", identity, float(np.max(np.abs(off))), th["gram_offdiag"])
+    col.add(
+        "gram/diag-rel-max",
+        identity,
+        float(np.max(np.abs(np.diag(gram) - exp) / exp)),
+        th["gram_diag_rel"],
+    )
 
 
 def _diag_rows(col: _Collector, res, th):
@@ -411,256 +401,264 @@ def _diag_rows(col: _Collector, res, th):
         )
 
 
-def _gram_checks(spec: ParsedDescriptor, col: _Collector, th):
-    if spec.family.startswith("uni"):
-        _uni_gram(spec, col, th)
-        return
-
-    def run():
-        if spec.family.startswith("cone"):
-            res = cone_gram(spec.params, spec.n_max, spec.convention)
-        else:
-            res = surface_gram(spec.params, spec.n_max)
-        col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
-        col.add("gram/offdiag-max", "orthogonality-gram", res.max_offdiag, th["gram_offdiag"])
-        col.add("gram/diag-rel-max", "orthogonality-gram", res.max_diag_rel, th["gram_diag_rel"])
-        _diag_rows(col, res, th)
-
-    col.guarded("gram", "orthogonality-gram", run)
+def _gram(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
+    res = dom.gram(spec.params, spec.n_max, spec.convention)
+    col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
+    col.add("gram/offdiag-max", identity, res.max_offdiag, th["gram_offdiag"])
+    col.add("gram/diag-rel-max", identity, res.max_diag_rel, th["gram_diag_rel"])
+    _diag_rows(col, res, th)
 
 
-def _ode_checks(spec: ParsedDescriptor, col: _Collector, th):
-    family, params, n_max = spec.family, spec.params, spec.n_max
-    if family == "uni-M":
-        for n in range(n_max + 1):
-            res = ode_residual_m(n, params)
+def _uni_ode(residual, build, spec: ParsedDescriptor, col: _Collector, th, identity):
+    params = spec.params
+    for n in range(spec.n_max + 1):
+        res = residual(n, params)
+        col.add(
+            f"ode/n{n}", identity,
+            res.rel_residual_against(build(n, params)), th["residual_rel"],
+        )
+
+
+def _elements(dom: _Domain, prefix, residual, detail, spec: ParsedDescriptor, col, th, identity):
+    """The residual of the family's operator identity on every element of
+    degree <= n_max, relative to the element; detail(params, el) or None
+    fills the detail column."""
+    params = spec.params
+    for n in range(spec.n_max + 1):
+        for el in dom.basis(params, n, spec.convention):
+            res = residual(params, el)
             col.add(
-                f"ode/n{n}", "first-family-ode",
-                res.rel_residual_against(coeffs_m(n, params)), th["residual_rel"],
+                f"{prefix}/{el.label}", identity,
+                res.rel_residual_against(dom.carrier(el)), th["residual_rel"],
+                detail=detail(params, el) if detail else "",
             )
-        return
-    if family == "uni-N":
-        for n in range(n_max + 1):
-            res = ode_residual_n(n, params)
-            col.add(
-                f"ode/n{n}", "second-family-ode",
-                res.rel_residual_against(coeffs_n(n, params)), th["residual_rel"],
-            )
-        return
-    if family == "cone-M":
-        def run():
-            for n in range(n_max + 1):
-                for el in cone_basis(params, n, spec.convention):
-                    res = operator_residual_m(params, el)
-                    col.add(
-                        f"ode/{el.label}", "solid-first-family-pde",
-                        res.rel_residual_against(el.poly), th["residual_rel"],
-                        detail=f"eigenvalue n(n-p+2mu+d) = {el.n * (el.n - params.p + 2 * params.mu + params.d)}",
-                    )
-
-        col.guarded("ode", "solid-first-family-pde", run)
-        return
-    if family == "cone-L":
-        def run():
-            for name, value in laguerre_cone_checks(params.d, params.mu, n_max, params.beta):
-                if name.startswith("laguerre-pde"):
-                    col.add(f"ode/{name}", "laguerre-cone-pde", value, th["residual_rel"])
-
-        col.guarded("ode", "laguerre-cone-pde", run)
-        return
-    if family == "surf-M":
-        def run():
-            for n in range(n_max + 1):
-                for el in surface_basis(params, n):
-                    res = surface_ode_residual_m(params, el)
-                    col.add(
-                        f"ode/{el.label}", "surface-first-family-ode",
-                        res.rel_residual_against(el.g), th["residual_rel"],
-                        detail=f"eigenvalue n(n-p+d) = {el.n * (el.n - params.p + params.d)}",
-                    )
-
-        col.guarded("ode", "surface-first-family-ode", run)
-        return
-    if family == "surf-L":
-        def run():
-            params.require_valid(0)
-            _laguerre_surface_rows(col, th, params.d, n_max, "ode")
-
-        col.guarded("ode", "laguerre-surface-ode", run)
-        return
-    raise DomainError(
-        f"no second-order eigenvalue identity for {family}; use the diffdiff suite"
-    )
 
 
-def _laguerre_surface_rows(col: _Collector, th, d: int, n_max: int, prefix: str):
-    """The beta = -1 Laguerre surface operator on every (n, m), relative to
-    the reduced carrier."""
-    target = SurfaceParams(d, "L", beta=-1.0)
+def _solid_m_eigenvalue(params, el) -> str:
+    return f"eigenvalue n(n-p+2mu+d) = {el.n * (el.n - params.p + 2 * params.mu + params.d)}"
+
+
+def _surface_m_eigenvalue(params, el) -> str:
+    return f"eigenvalue n(n-p+d) = {el.n * (el.n - params.p + params.d)}"
+
+
+def _laguerre_surface_rows(target: SurfaceParams, n_max: int, prefix: str, col: _Collector, th):
+    """The Laguerre surface operator at target.beta on every (n, m),
+    relative to the reduced carrier; it has degree-only eigenvalues at
+    beta = -1 only, and rejects any other beta inside the window."""
+    target.require_valid(0)
     for n in range(n_max + 1):
         for m in range(n + 1):
-            res = laguerre_surface_ode_residual(d, n, m)
+            res = laguerre_surface_ode_residual(target.d, n, m, target.beta)
             col.add(
                 f"{prefix}/n{n}.m{m}", "laguerre-surface-ode",
                 res.rel_residual_against(target.radial(n, m).shift_up(m)), th["residual_rel"],
             )
 
 
-def _diffdiff_checks(spec: ParsedDescriptor, col: _Collector, th):
-    family, params, n_max = spec.family, spec.params, spec.n_max
-    if family == "cone-N":
-        def run():
-            for n in range(n_max + 1):
-                for el in cone_basis(params, n, spec.convention):
-                    res = diffdiff_residual_n(params, el)
-                    col.add(
-                        f"diffdiff/{el.label}", "solid-second-family-difference-differential",
-                        res.rel_residual_against(el.poly), th["residual_rel"],
-                    )
-
-        col.guarded("diffdiff", "solid-second-family-difference-differential", run)
-        return
-    if family == "surf-N":
-        def run():
-            for n in range(n_max + 1):
-                for el in surface_basis(params, n):
-                    res = surface_diffdiff_residual_n(params, el)
-                    col.add(
-                        f"diffdiff/{el.label}", "surface-second-family-difference-differential",
-                        res.rel_residual_against(el.g), th["residual_rel"],
-                    )
-
-        col.guarded("diffdiff", "surface-second-family-difference-differential", run)
-        return
-    raise DomainError(f"the diffdiff suite applies to the N families, not {family}")
-
-
-def _recurrence_checks(spec: ParsedDescriptor, col: _Collector, th):
-    family, params, n_max = spec.family, spec.params, spec.n_max
-    if family.startswith("uni"):
-        build, oracle = (
-            (coeffs_m, coeffs_m_rodrigues) if family == "uni-M" else (coeffs_n, coeffs_n_rodrigues)
+def _uni_recurrence(kind, build, oracle, spec: ParsedDescriptor, col: _Collector, th, identity):
+    params, n_max = spec.params, spec.n_max
+    for n in range(n_max + 1):
+        rec = build(n, params)
+        rod = oracle(n, params)
+        col.add(
+            f"recurrence/agreement/n{n}", identity,
+            (rec - rod).rel_residual_against(rod), th["agreement_rel"],
         )
-        for n in range(n_max + 1):
-            rec = build(n, params)
-            rod = oracle(n, params)
-            col.add(
-                f"recurrence/agreement/n{n}", "univariate-recurrence-vs-rodrigues",
-                (rec - rod).rel_residual_against(rod), th["agreement_rel"],
-            )
-        for n in range(1, n_max + 1):
-            res = derivative_relation_residual(family[-1], n, params)
-            col.add(
-                f"recurrence/derivative-shift/n{n}", "derivative-parameter-shift",
-                res.rel_residual_against(build(n, params).derivative()), th["residual_rel"],
-            )
+    for n in range(1, n_max + 1):
+        res = derivative_relation_residual(kind, n, params)
+        col.add(
+            f"recurrence/derivative-shift/n{n}", "derivative-parameter-shift",
+            res.rel_residual_against(build(n, params).derivative()), th["residual_rel"],
+        )
+
+
+def _cone_recurrence(stated: bool, spec: ParsedDescriptor, col: _Collector, th, identity):
+    """The derived three-term recurrence on every (n, m); stated adds the
+    documented deviation of the printed closed form."""
+    params, n_max = spec.params, spec.n_max
+    if n_max < 2:
+        params.require_valid(n_max)
+        col.add_skipped(
+            "recurrence/skipped", identity, "the three-term recurrence needs n_max >= 2"
+        )
         return
-    if family.startswith("cone"):
-        def run():
-            if n_max < 2:
-                params.require_valid(n_max)
-                col.add_skipped(
-                    "recurrence/skipped", "solid-three-term-recurrence",
-                    "the three-term recurrence needs n_max >= 2",
+    worst_stated = 0.0
+    for m in range(n_max):
+        for n in range(m + 1, n_max):
+            col.add(
+                f"recurrence/n{n}.m{m}", identity,
+                recurrence_residual(params, n, m), th["residual_rel"],
+            )
+            if stated:
+                worst_stated = max(
+                    worst_stated, recurrence_residual(params, n, m, variant="stated")
                 )
-                return
-            worst_stated = 0.0
-            for m in range(n_max):
-                for n in range(m + 1, n_max):
-                    col.add(
-                        f"recurrence/n{n}.m{m}", "solid-three-term-recurrence",
-                        recurrence_residual(params, n, m), th["residual_rel"],
-                    )
-                    if params.family == "M":
-                        worst_stated = max(
-                            worst_stated, recurrence_residual(params, n, m, variant="stated")
-                        )
-            if params.family == "M":
-                col.add_documented(
-                    "recurrence/stated-vs-derived", "solid-three-term-recurrence",
-                    worst_stated, KNOWN_DISCREPANCY_NOTE,
-                )
-
-        col.guarded("recurrence", "solid-three-term-recurrence", run)
-        return
-    raise DomainError(f"no recurrence suite for {family}")
+    if stated:
+        col.add_documented(
+            "recurrence/stated-vs-derived", identity, worst_stated, KNOWN_DISCREPANCY_NOTE
+        )
 
 
-def _limit_checks(spec: ParsedDescriptor, col: _Collector, th):
-    family, params, n_max, p_grid = spec.family, spec.params, spec.n_max, spec.p_grid
+def _uni_limit(spec: ParsedDescriptor, col: _Collector, th, identity):
+    params, lo, hi = spec.params, th["exponent_lo"], th["exponent_hi"]
+    for n in range(min(spec.n_max, 4) + 1):
+        errs = []
+        for p in spec.p_grid:
+            e = max(
+                laguerre_limit_error_m(n, params.q, x, [p])[0] for x in (0.6, 1.0, 1.7)
+            )
+            errs.append((p, e))
+        exponent = convergence_fit(errs)
+        col.add_exponent(f"limit/n{n}", identity, exponent, lo, hi)
+
+
+def _limit(relation, target, spec: ParsedDescriptor, col: _Collector, th, identity):
+    """The fitted 1/p decay of relation(params, n, m) for n <= 3, then the
+    Laguerre target's own identities."""
     lo, hi = th["exponent_lo"], th["exponent_hi"]
-    if family == "uni-M":
-        for n in range(min(n_max, 4) + 1):
-            errs = []
-            for p in p_grid:
-                e = max(
-                    laguerre_limit_error_m(n, params.q, x, [p])[0] for x in (0.6, 1.0, 1.7)
-                )
-                errs.append((p, e))
-            exponent = convergence_fit(errs)
-            col.add_exponent(f"limit/n{n}", "laguerre-limit", exponent, lo, hi)
-        return
-    if family == "cone-M":
-        def run():
-            for n in range(min(n_max, 3) + 1):
-                for m in range(n + 1):
-                    rep = limit_to_laguerre(params, n, m, p_grid=p_grid)
-                    col.add_exponent(
-                        f"limit/n{n}.m{m}", "laguerre-limit", rep.exponent, lo, hi,
-                        detail=f"deviations {rep.deviations}",
-                    )
-            checks = laguerre_cone_checks(
-                params.d, params.mu, min(n_max, 4), beta=params.q, limit_target=True
+    for n in range(min(spec.n_max, 3) + 1):
+        for m in range(n + 1):
+            rep = relation(spec.params, n, m, p_grid=spec.p_grid)
+            col.add_exponent(
+                f"limit/n{n}.m{m}", identity, rep.exponent, lo, hi,
+                detail=f"deviations {rep.deviations}",
             )
-            for name, value in checks:
-                tag = "laguerre-cone-pde" if name.startswith("laguerre-pde") else "laguerre-cone-recurrence"
-                col.add(f"limit/target/{name}", tag, value, th["residual_rel"])
-
-        col.guarded("limit", "laguerre-limit", run)
-        return
-    if family == "surf-M":
-        def run():
-            for n in range(min(n_max, 3) + 1):
-                for m in range(n + 1):
-                    rep = surface_limit_m(params, n, m, p_grid=p_grid)
-                    col.add_exponent(
-                        f"limit/n{n}.m{m}", "laguerre-limit", rep.exponent, lo, hi,
-                        detail=f"deviations {rep.deviations}",
-                    )
-            if params.d >= 2:
-                _laguerre_surface_rows(col, th, params.d, min(n_max, 4), "limit/target/sur-ode")
-
-        col.guarded("limit", "laguerre-limit", run)
-        return
-    raise DomainError(f"no limit suite for {family}")
+    target(spec, col, th)
 
 
-_SUITE_FUNCS = {
-    "dims": _dims_checks,
-    "gram": _gram_checks,
-    "ode": _ode_checks,
-    "diffdiff": _diffdiff_checks,
-    "recurrence": _recurrence_checks,
-    "limit": _limit_checks,
+def _solid_limit_target(spec: ParsedDescriptor, col: _Collector, th):
+    params = spec.params
+    checks = laguerre_cone_checks(
+        params.d, params.mu, min(spec.n_max, 4), beta=params.q, limit_target=True
+    )
+    for name, value in checks:
+        tag = "laguerre-cone-pde" if name.startswith("laguerre-pde") else "laguerre-cone-recurrence"
+        col.add(f"limit/target/{name}", tag, value, th["residual_rel"])
+
+
+def _surface_limit_target(spec: ParsedDescriptor, col: _Collector, th):
+    """The target's operator identity, which holds at q = -1 only."""
+    params = spec.params
+    if params.d >= 2 and params.q == -1:
+        target = SurfaceParams(params.d, "L", beta=params.q)
+        _laguerre_surface_rows(target, min(spec.n_max, 4), "limit/target/sur-ode", col, th)
+
+
+# ---------------------------------------------------------------------------
+# the (family, suite) table
+# ---------------------------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    entry: str  # name of the expected-failure entry a probe records
+    identity: str
+    check: object  # check(spec, col, th, identity) adds the suite's rows
+    skip: object = None  # params -> why suite "all" skips the suite, or None
+
+
+_CONSTRUCTION_ONLY = "the surface identities assume d >= 2; d = 1 is construction-only"
+
+
+def _surface_identity(params):
+    return _CONSTRUCTION_ONLY if params.d == 1 else None
+
+
+def _holds_at(key: str, value: float, reason: str, surface: bool = False):
+    """Skip rule of a degree-only eigenvalue identity, which holds only
+    where params.<key> == value and, on the surface, for d >= 2."""
+
+    def skip(params):
+        if surface and params.d == 1:
+            return _CONSTRUCTION_ONLY
+        return reason if getattr(params, key) != value else None
+
+    return skip
+
+
+def _shared(dom: _Domain, **rows) -> dict:
+    """A cone or surface family's rows: dims and gram, then its own."""
+    return {
+        "dims": _Row(f"dims/{dom.name}", "basis-dimension", lambda *a: _dims(dom, *a)),
+        "gram": _Row("gram", "orthogonality-gram", lambda *a: _gram(dom, *a)),
+        **rows,
+    }
+
+
+# family -> suite -> row, in the order suite "all" runs them.  Checks name
+# library functions inside lambdas for the reason _Domain gives.
+_TABLE = {
+    "uni-M": {
+        "gram": _Row("gram", "orthogonality-gram", lambda *a: _uni_gram(
+            lambda params: WeightMPQ(params.p, params.q), eval_m, norm_m, *a)),
+        "ode": _Row("ode", "first-family-ode",
+                    lambda *a: _uni_ode(ode_residual_m, coeffs_m, *a)),
+        "recurrence": _Row("recurrence", "univariate-recurrence-vs-rodrigues",
+                           lambda *a: _uni_recurrence("M", coeffs_m, coeffs_m_rodrigues, *a)),
+        "limit": _Row("limit", "laguerre-limit", _uni_limit),
+    },
+    "uni-N": {
+        "gram": _Row("gram", "orthogonality-gram", lambda *a: _uni_gram(
+            lambda params: WeightInvExp(params.p), eval_n, norm_n, *a)),
+        "ode": _Row("ode", "second-family-ode",
+                    lambda *a: _uni_ode(ode_residual_n, coeffs_n, *a)),
+        "recurrence": _Row("recurrence", "univariate-recurrence-vs-rodrigues",
+                           lambda *a: _uni_recurrence("N", coeffs_n, coeffs_n_rodrigues, *a)),
+    },
+    "cone-M": _shared(
+        SOLID,
+        ode=_Row("ode", "solid-first-family-pde",
+                 lambda *a: _elements(SOLID, "ode", operator_residual_m, _solid_m_eigenvalue, *a),
+                 _holds_at("q", 0.0, "degree-only eigenvalues require q = 0")),
+        recurrence=_Row("recurrence", "solid-three-term-recurrence",
+                        lambda *a: _cone_recurrence(True, *a)),
+        limit=_Row("limit", "laguerre-limit",
+                   lambda *a: _limit(limit_to_laguerre, _solid_limit_target, *a)),
+    ),
+    "cone-N": _shared(
+        SOLID,
+        diffdiff=_Row("diffdiff", "solid-second-family-difference-differential",
+                      lambda *a: _elements(SOLID, "diffdiff", diffdiff_residual_n, None, *a)),
+        recurrence=_Row("recurrence", "solid-three-term-recurrence",
+                        lambda *a: _cone_recurrence(False, *a)),
+    ),
+    "cone-L": _shared(
+        SOLID,
+        ode=_Row("ode", "laguerre-cone-pde",
+                 lambda *a: _elements(SOLID, "ode/laguerre-pde", laguerre_pde_residual, None, *a),
+                 _holds_at("beta", 0.0, "the degree-only eigenvalue requires beta = 0")),
+        recurrence=_Row("recurrence", "solid-three-term-recurrence",
+                        lambda *a: _cone_recurrence(False, *a)),
+    ),
+    "surf-M": _shared(
+        SURFACE,
+        ode=_Row("ode", "surface-first-family-ode",
+                 lambda *a: _elements(
+                     SURFACE, "ode", surface_ode_residual_m, _surface_m_eigenvalue, *a),
+                 _holds_at("q", -1.0, "degree-only eigenvalues require q = -1", surface=True)),
+        limit=_Row("limit", "laguerre-limit",
+                   lambda *a: _limit(surface_limit_m, _surface_limit_target, *a),
+                   _surface_identity),
+    ),
+    "surf-N": _shared(
+        SURFACE,
+        diffdiff=_Row("diffdiff", "surface-second-family-difference-differential",
+                      lambda *a: _elements(
+                          SURFACE, "diffdiff", surface_diffdiff_residual_n, None, *a),
+                      _surface_identity),
+    ),
+    "surf-L": _shared(
+        SURFACE,
+        ode=_Row("ode", "laguerre-surface-ode",
+                 lambda spec, col, th, _identity: _laguerre_surface_rows(
+                     spec.params, spec.n_max, "ode", col, th),
+                 _holds_at("beta", -1.0, "the degree-only eigenvalue requires beta = -1",
+                           surface=True)),
+    ),
 }
 
-
-def _skip_reason(suite: str, spec: ParsedDescriptor):
-    """Why suite "all" skips a suite informationally instead of erroring:
-    the degree-only eigenvalue identities exist at one parameter value, and
-    the surface identities assume d >= 2.  None when the suite runs."""
-    family, params = spec.family, spec.params
-    if family.startswith("surf") and params.d == 1 and suite in ("ode", "diffdiff", "limit"):
-        return "the surface identities assume d >= 2; d = 1 is construction-only"
-    if suite != "ode":
-        return None
-    if family == "cone-M" and params.q != 0:
-        return "degree-only eigenvalues require q = 0"
-    if family == "surf-M" and params.q != -1:
-        return "degree-only eigenvalues require q = -1"
-    if family == "cone-L" and params.beta != 0:
-        return "the degree-only eigenvalue requires beta = 0"
-    return None
+FAMILY_SUITES = {family: tuple(rows) for family, rows in _TABLE.items()}
+FAMILIES = tuple(FAMILY_SUITES)
 
 
 def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
@@ -669,21 +667,20 @@ def run_suite(suite: str, descriptor: dict, thresholds: dict = None) -> Report:
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     spec = parse_descriptor(descriptor)
-    family = spec.family
+    rows = _TABLE[spec.family]
     th = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         th.update(thresholds)
-    suites = _FAMILY_SUITES[family] if suite == "all" else (suite,)
-    for s in suites:
-        if s not in _FAMILY_SUITES[family]:
-            raise DomainError(f"suite {s!r} does not apply to family {family!r}")
+    if suite != "all" and suite not in rows:
+        raise DomainError(f"suite {suite!r} does not apply to family {spec.family!r}")
     col = _Collector(bool(descriptor.get("probe", False)))
-    for s in suites:
-        skip = _skip_reason(s, spec) if suite == "all" else None
+    for s in rows if suite == "all" else (suite,):
+        row = rows[s]
+        skip = row.skip(spec.params) if suite == "all" and row.skip else None
         if skip:
             col.add_skipped(f"{s}/skipped", "eigenvalue-restriction", skip)
             continue
-        _SUITE_FUNCS[s](spec, col, th)
+        col.guarded(row.entry, row.identity, lambda: row.check(spec, col, th, row.identity))
     desc = dict(descriptor)
     desc["suite"] = suite
     report = Report(

@@ -17,7 +17,6 @@ from finitecone.cone_solid import (
     cone_basis,
     cone_dimension,
     cone_gram,
-    cone_norm,
     diffdiff_residual_n,
     laguerre_cone_checks,
     limit_to_laguerre,
@@ -127,7 +126,7 @@ def test_criterion_3_solid_cone_orthogonality():
         worst_off = max(worst_off, res.max_offdiag)
         worst_diag = max(worst_diag, res.max_diag_rel)
     params = ConeFamilyParams(1, 0.5, "M", p=10.0, q=0.0)
-    spot = cone_norm(params, 1, 1)
+    spot = params.norm(1, 1)
     spot_ok = abs(spot - 1.0 / 7.0) <= 1e-12
     g = cone_gram(params, 1)
     quad = g.matrix[-1, -1]  # the (n, m) = (1, 1) diagonal entry

@@ -254,3 +254,24 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == first
     assert first[0] == 0 and "overall: PASS" in first[1]
     assert len(builds) == 1
+
+
+def test_family_choices_are_the_verifier_families():
+    from finitecone.verifier import FAMILIES
+
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for sub in subs.choices.values():
+        family = next(a for a in sub._actions if a.dest == "family")
+        assert tuple(family.choices) == FAMILIES
+
+
+def test_verify_probe_below_the_uni_q_window(capsys):
+    # every uni-M suite is guarded, and the limit names q > -1
+    args = ["verify", "--family", "uni-M", "-p", "30", "-q", "-1.5", "-n", "3"]
+    code, _, err = run_cli(capsys, *args, "--suite", "limit")
+    assert code == 2
+    assert "requires q > -1" in err
+    code, out, _ = run_cli(capsys, *args, "--probe")
+    assert code == 0
+    lines = [line.split()[:2] for line in out.splitlines() if "EXPECTED-FAILURE" in line]
+    assert lines == [["EXPECTED-FAILURE", "gram"], ["EXPECTED-FAILURE", "limit"]]

@@ -13,7 +13,6 @@ from finitecone.cone_solid import (
     cone_basis,
     cone_dimension,
     cone_gram,
-    cone_norm,
     cone_sample_grid,
     diffdiff_residual_n,
     expected_sq_norm,
@@ -105,8 +104,8 @@ def test_counts():
 
 def test_norm_values_and_oracle():
     params = mp(p=10.0, q=0.0)
-    assert cone_norm(params, 0, 0) == pytest.approx(1.0, rel=1e-13)
-    assert cone_norm(params, 1, 1) == pytest.approx(1.0 / 7.0, rel=1e-13)
+    assert params.norm(0, 0) == pytest.approx(1.0, rel=1e-13)
+    assert params.norm(1, 1) == pytest.approx(1.0 / 7.0, rel=1e-13)
     # quadrature oracle: b * int element^2 W over the cone
     el = cone_basis(params, 1)[-1]
     assert el.m == 1
@@ -114,7 +113,7 @@ def test_norm_values_and_oracle():
     assert raw * params.normalization() == pytest.approx(1.0 / 7.0, rel=1e-11)
 
     pn = np_params(p=12.0)
-    assert cone_norm(pn, 0, 1) == pytest.approx(1.0 / 8.0, rel=1e-13)
+    assert pn.norm(0, 1) == pytest.approx(1.0 / 8.0, rel=1e-13)
     el = cone_basis(pn, 1)[0]
     assert el.m == 0
     raw = integrate_cone(1, 0.5, pn.radial_weight(), el.poly * el.poly)
@@ -319,5 +318,5 @@ def test_expected_sq_norm_orthonormal_is_cone_norm():
     params = mp(p=25.0, q=0.5)
     for el in cone_basis(params, 2):
         assert expected_sq_norm(params, el) == pytest.approx(
-            cone_norm(params, el.m, el.n), rel=1e-14
+            params.norm(el.m, el.n), rel=1e-14
         )

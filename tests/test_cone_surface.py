@@ -12,12 +12,10 @@ from finitecone.cone_surface import (
     SurfaceParams,
     laguerre_surface_ode_residual,
     surface_basis,
-    surface_counts_match,
     surface_diffdiff_residual_n,
     surface_dimension,
     surface_gram,
     surface_limit_m,
-    surface_norm,
     surface_ode_residual_m,
     surface_sample_grid,
 )
@@ -31,6 +29,7 @@ from finitecone.harmonics import dim_harmonic, harmonic_basis
 from finitecone.polyalg import MultiPoly
 from finitecone.quadrature import integrate_surface
 from finitecone.scalars import gamma_fn
+from finitecone.verifier import run_suite
 
 
 def test_params_validation():
@@ -52,7 +51,9 @@ def test_params_validation():
 def test_dimension_formula_and_counts():
     assert surface_dimension(3, 2) == 9  # 1 + 3 + 5
     for d in (2, 3):
-        assert surface_counts_match(d, 6)
+        rep = run_suite("dims", {"family": "surf-M", "d": d, "p": 40.0, "q": 0.0, "n_max": 6})
+        split = [c.metric for c in rep.checks if c.name.startswith("dims/harmonic-sum/")]
+        assert split == [0.0] * 7  # the harmonic split fills every degree
         params = SurfaceParams(d, "M", p=40.0, q=0.0)
         for n in range(7):
             elems = surface_basis(params, n)
@@ -80,10 +81,10 @@ def test_radial_parameter_shift_sample():
 
 
 def test_norms_and_quadrature_oracle():
-    assert surface_norm(SurfaceParams(2, "M", p=9.0, q=0.0), 0, 0) == pytest.approx(1.0, rel=1e-13)
-    assert surface_norm(SurfaceParams(2, "N", p=9.0), 0, 0) == pytest.approx(1.0, rel=1e-13)
+    assert SurfaceParams(2, "M", p=9.0, q=0.0).norm(0, 0) == pytest.approx(1.0, rel=1e-13)
+    assert SurfaceParams(2, "N", p=9.0).norm(0, 0) == pytest.approx(1.0, rel=1e-13)
     pn = SurfaceParams(2, "N", p=10.0)
-    assert surface_norm(pn, 0, 1) == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert pn.norm(0, 1) == pytest.approx(1.0 / 6.0, rel=1e-13)
     el = [e for e in surface_basis(pn, 1) if e.m == 0][0]
     raw = integrate_surface(2, pn.radial_weight(), el.poly * el.poly)
     b = 1.0 / (2 * math.pi * gamma_fn(pn.p - 2))
@@ -95,7 +96,7 @@ def test_norms_and_quadrature_oracle():
     from finitecone.scalars import gamma_ratio
 
     b = gamma_ratio([pm.p], [pm.p - 2, 2.0]) / (2 * math.pi)  # c_{p-1, q+1} / omega_2
-    assert raw * b == pytest.approx(surface_norm(pm, 1, 1), rel=1e-11)
+    assert raw * b == pytest.approx(pm.norm(1, 1), rel=1e-11)
 
 
 def test_gram():

@@ -10,11 +10,14 @@ import pytest
 from finitecone import ball, harmonics, univariate
 from finitecone.cli import main
 from finitecone.cone_solid import ConeFamilyParams, cone_basis, laguerre_cone_checks
-from finitecone.errors import DegenerateDataError, DomainError, ValidityError
+from finitecone.errors import DegenerateDataError, DomainError, FiniteConeError, ValidityError
 from finitecone.polyalg import OperatorSpec, apply_operator, euler_operator
 from finitecone.verifier import (
     DEFAULT_THRESHOLDS,
+    FAMILIES,
+    FAMILY_SUITES,
     KNOWN_DISCREPANCY_NOTE,
+    SUITES,
     Report,
     convergence_fit,
     parse_descriptor,
@@ -268,6 +271,7 @@ def test_malformed_descriptor_is_a_domain_error_naming_the_field(via, payload, f
     [
         ({"family": "cone-M", "d": 2, "mu": 1.0, "p": 30.0, "q": -4.5, "n_max": 2}, "q > -2*mu - d"),
         ({"family": "surf-M", "d": 2, "p": 30.0, "q": -2.5, "n_max": 2}, "q > -d"),
+        ({"family": "uni-M", "p": 30.0, "q": -2.0, "n_max": 4}, "q > -1"),
     ],
 )
 def test_limit_below_the_m_window_names_it(desc, inequality):
@@ -377,3 +381,97 @@ def test_each_radial_factor_is_built_once_per_bundle(suite, desc, builder, build
     calls = _count_calls(monkeypatch, univariate, builder)
     assert run_suite(suite, desc).passed
     assert len(calls) == builds
+
+
+# in-window descriptors at the value where each family's eigenvalue
+# identity holds: cone-M q = 0, surf-M q = -1, cone-L beta = 0, surf-L beta = -1
+_AT_EIGEN = {
+    "uni-M": {"p": 25.0, "q": 0.5},
+    "uni-N": {"p": 25.0},
+    "cone-M": {"d": 2, "p": 30.0, "q": 0.0},
+    "cone-N": {"d": 2, "p": 30.0},
+    "cone-L": {"d": 2, "beta": 0.0},
+    "surf-M": {"d": 2, "p": 30.0, "q": -1.0},
+    "surf-N": {"d": 2, "p": 30.0},
+    "surf-L": {"d": 2, "beta": -1.0},
+}
+
+
+def test_eigen_descriptors_cover_every_family():
+    assert tuple(_AT_EIGEN) == FAMILIES == tuple(FAMILY_SUITES)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_suites_outside_the_table_do_not_apply(family):
+    desc = dict(_AT_EIGEN[family], family=family, n_max=2)
+    for suite in SUITES:
+        if suite == "all" or suite in FAMILY_SUITES[family]:
+            continue
+        with pytest.raises(DomainError, match=f"suite '{suite}' does not apply to family"):
+            run_suite(suite, desc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_all_at_the_eigen_value_shows_every_suite_of_the_family(family):
+    rep = run_suite("all", dict(_AT_EIGEN[family], family=family, n_max=2))
+    assert rep.passed, [c for c in rep.checks if c.verdict == "fail"]
+    shown = {c.name.split("/")[0] for c in rep.checks}
+    assert shown == set(FAMILY_SUITES[family])
+    assert not [c.name for c in rep.checks if c.name.endswith("/skipped")]
+
+
+def test_surface_laguerre_ode_holds_at_beta_minus_one_only():
+    desc = {"family": "surf-L", "d": 2, "beta": 2.5, "n_max": 2}
+    rep = run_suite("all", desc)
+    assert rep.passed
+    assert [(c.name, c.verdict, c.detail) for c in rep.checks if c.name.startswith("ode")] == [
+        ("ode/skipped", "not-applicable", "the degree-only eigenvalue requires beta = -1")
+    ]
+    with pytest.raises(FiniteConeError, match="beta = -1"):
+        run_suite("ode", desc)
+    rep = run_suite("ode", dict(desc, beta=-1.0))
+    assert rep.passed and len(rep.checks) == 6  # (n, m) with m <= n <= 2
+
+
+def test_surface_limit_target_rows_only_at_q_minus_one():
+    desc = {"family": "surf-M", "d": 2, "p": 30.0, "q": 0.5, "n_max": 3}
+    for suite in ("limit", "all"):
+        rep = run_suite(suite, desc)
+        assert rep.passed and any(c.name.startswith("limit/n") for c in rep.checks)
+        assert not [c.name for c in rep.checks if c.name.startswith("limit/target/")]
+    rep = run_suite("limit", dict(desc, q=-1.0))
+    assert rep.passed
+    assert [c.name for c in rep.checks if c.name.startswith("limit/target/")][:2] == [
+        "limit/target/sur-ode/n0.m0", "limit/target/sur-ode/n1.m0"
+    ]
+
+
+def test_laguerre_cone_ode_off_beta_zero_is_refused():
+    desc = {"family": "cone-L", "d": 2, "mu": 0.5, "beta": 0.5, "n_max": 4}
+    with pytest.raises(DomainError, match="the degree-only eigenvalue holds at beta = 0"):
+        run_suite("ode", desc)
+    outside = {"family": "cone-L", "d": 1, "mu": 0.7, "beta": -2.7, "n_max": 1}
+    with pytest.raises(ValidityError, match=r"requires beta > -d \("):
+        run_suite("ode", outside)
+    rep = run_suite("ode", dict(outside, probe=True))
+    assert [(c.name, c.verdict) for c in rep.checks] == [("ode", "expected-failure")]
+
+
+@pytest.mark.parametrize(
+    "family,functions",
+    [
+        ("uni-M", ("eval_m", "coeffs_m", "coeffs_m_rodrigues")),
+        ("cone-M", ("cone_basis", "cone_gram", "operator_residual_m", "limit_to_laguerre")),
+        ("cone-N", ("diffdiff_residual_n",)),
+        ("surf-M", ("surface_basis", "surface_gram", "surface_ode_residual_m", "surface_limit_m")),
+        ("surf-N", ("surface_diffdiff_residual_n",)),
+    ],
+)
+def test_checks_look_library_functions_up_at_call_time(family, functions, monkeypatch):
+    """A tracer rebinds module names after import; the table's checks must
+    still call through them."""
+    import finitecone.verifier as verifier
+
+    calls = {name: _count_calls(monkeypatch, verifier, name) for name in functions}
+    assert run_suite("all", dict(_AT_EIGEN[family], family=family, n_max=2)).passed
+    assert all(calls.values()), {name: len(c) for name, c in calls.items()}
