@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, UnsupportedDimension, ValidityError
 from .harmonics import harmonic_basis, surface_area
-from .polyalg import MultiPoly, OperatorSpec, apply_operator
+from .polyalg import MultiPoly, OperatorSpec, apply_operator, homogenize
 from .quadrature import ball_mass_normalization
 from .scalars import gamma_ratio
-from .univariate import coeffs_gegenbauer, coeffs_jacobi, norm_gegenbauer, norm_jacobi
+from .univariate import (
+    coeffs_gegenbauer, coeffs_jacobi, eval_gegenbauer, eval_jacobi, norm_gegenbauer, norm_jacobi,
+)
 
 CONVENTIONS = ("orthonormal", "paper-gegenbauer")
 
@@ -29,11 +32,59 @@ def ball_normalization(d: int, mu: float) -> float:
 
 
 @dataclass(frozen=True)
+class BallRadial:
+    """The radial factor of the ball elements with Jacobi degree j and
+    harmonic degree k: P_j^(mu-1/2, k+(d-2)/2)(2|x|^2 - 1), or for d = 1
+    the Gegenbauer polynomial C_j^mu(x)."""
+
+    d: int
+    mu: float
+    j: int
+    k: int
+
+    @property
+    def ab(self) -> tuple:
+        """The Jacobi parameters (mu - 1/2, k + (d - 2)/2)."""
+        return self.mu - 0.5, self.k + (self.d - 2) / 2.0
+
+    @cached_property
+    def poly(self) -> MultiPoly:
+        """The factor as a polynomial in x, built on first read."""
+        if self.d == 1:
+            return MultiPoly.from_unipoly_x(coeffs_gegenbauer(self.j, self.mu), 1)
+        return _compose_radial(coeffs_jacobi(self.j, *self.ab), self.d)
+
+    def values(self, r):
+        """R(r) with P(r y) = scale * R(r) * Y(y) on |y| = 1: the Jacobi
+        factor by its recurrence times r^k (the harmonic's homogeneity),
+        or C_j^mu(r) for d = 1, where Y is 1 or x by the parity of j."""
+        if self.d == 1:
+            return eval_gegenbauer(self.j, self.mu, r)
+        return eval_jacobi(self.j, *self.ab, 2 * r * r - 1) * r**self.k
+
+
+@dataclass(frozen=True)
 class BallElement:
+    """scale * radial * harmonic (for d = 1, scale * radial); its poly is
+    multiplied out on first read, and the Gram reads only the factors."""
+
     degree: int
     label: str
-    poly: MultiPoly
     sq_norm: float  # under the normalized inner product; 1 for orthonormal
+    radial: BallRadial
+    l: int  # 1-based index of the harmonic among those of degree k
+    harmonic: MultiPoly
+    scale: float
+
+    @cached_property
+    def poly(self) -> MultiPoly:
+        radial = self.radial.poly
+        return (radial if self.radial.d == 1 else radial * self.harmonic).scale(self.scale)
+
+    @cached_property
+    def homogeneous(self) -> MultiPoly:
+        """t^m P(x/t), m the degree."""
+        return homogenize(self.poly, self.degree)
 
 
 @dataclass(frozen=True)
@@ -78,31 +129,26 @@ def ball_basis(d: int, mu: float, n: int, convention: str = "orthonormal") -> Ba
         raise DomainError("paper-gegenbauer convention applies to d = 1 only")
     elements = []
     if d == 1:
-        coeffs = coeffs_gegenbauer(n, mu)  # rejects mu = 0 for n >= 1
-        poly = MultiPoly.from_unipoly_x(coeffs, 1)
-        sq = ball_normalization(1, mu) * norm_gegenbauer(n, mu)
+        sq = ball_normalization(1, mu) * norm_gegenbauer(n, mu)  # rejects mu = 0 for n >= 1
+        harm = harmonic_basis(1, n % 2).elements[0]
+        radial = BallRadial(1, mu, n, n % 2)
         if convention == "orthonormal":
-            elements.append(BallElement(n, f"C{n}", poly.scale(1.0 / math.sqrt(sq)), 1.0))
+            elements.append(BallElement(n, f"C{n}", 1.0, radial, 1, harm, 1.0 / math.sqrt(sq)))
         else:
-            elements.append(BallElement(n, f"C{n}", poly, sq))
+            elements.append(BallElement(n, f"C{n}", sq, radial, 1, harm, 1.0))
     else:
         b_mu = ball_normalization(d, mu)
         omega = surface_area(d)
         for j in range(n // 2 + 1):
             k = n - 2 * j
-            a = mu - 0.5
-            b = k + (d - 2) / 2.0
-            radial = _compose_radial(coeffs_jacobi(j, a, b), d)
+            radial = BallRadial(d, mu, j, k)
+            a, b = radial.ab
             # norm of jacobi(2r^2-1) x harmonic under the normalized measure
             c_ab = gamma_ratio([a + b + 2], [a + 1, b + 1])
             sq = b_mu * omega * norm_jacobi(j, a, b) / (2.0 * c_ab)
             scale = 1.0 / math.sqrt(sq)
             for l, harm in enumerate(harmonic_basis(d, k).elements, start=1):
-                poly = radial * harm
-                if convention == "orthonormal":
-                    elements.append(BallElement(n, f"j{j}Y{k},{l}", poly.scale(scale), 1.0))
-                else:
-                    elements.append(BallElement(n, f"j{j}Y{k},{l}", poly, sq))
+                elements.append(BallElement(n, f"j{j}Y{k},{l}", 1.0, radial, l, harm, scale))
     basis = BallBasis(d, mu, n, convention, tuple(elements))
     expected = math.comb(n + d - 1, n)
     if len(elements) != expected:

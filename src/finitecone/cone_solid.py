@@ -25,8 +25,8 @@ from .errors import (
     QNotZeroError,
     ValidityError,
 )
-from .gram import GramResult, separable_gram
-from .polyalg import MultiPoly, OperatorSpec, apply_operator, homogenize
+from .gram import GramResult, separable_gram, sphere_factor, t_factor
+from .polyalg import MultiPoly, OperatorSpec, apply_operator
 from .quadrature import Shift, cone_factors, solid_shift
 from .scalars import factorial_real, gamma_ratio
 from .unipoly import UniPoly
@@ -81,17 +81,16 @@ class ConeFamilyParams(ShiftedRadial):
         return ConeFamilyParams(self.d, self.mu, "N", p=self.p - 2.0)
 
     @cached_property
-    def _angular(self) -> dict:
+    def _balls(self) -> dict:
         return {}
 
-    def angular(self, m: int, convention: str = "orthonormal") -> tuple:
-        """(ball element, its homogenization t^m P(x/t)) pairs of the
-        degree-m ball basis."""
+    def balls(self, m: int, convention: str = "orthonormal") -> tuple:
+        """The degree-m ball basis elements, built once per bundle; each
+        multiplies out its poly and homogenization on first read."""
         key = (m, convention)
-        if key not in self._angular:
-            bb = ball_basis(self.d, self.mu, m, convention)
-            self._angular[key] = tuple((b, homogenize(b.poly, m)) for b in bb.elements)
-        return self._angular[key]
+        if key not in self._balls:
+            self._balls[key] = ball_basis(self.d, self.mu, m, convention).elements
+        return self._balls[key]
 
     def require_valid(self, n: int) -> None:
         """Validity window for orthogonality up to degree n."""
@@ -124,11 +123,15 @@ class ConeBasisElement:
     k: int  # index within the degree-m ball basis
     radial: UniPoly
     ball: BallElement
-    angular: MultiPoly  # homogenized: t^m P(x/t)
 
     @property
     def label(self) -> str:
         return f"n{self.n}.m{self.m}.k{self.k}"
+
+    @property
+    def angular(self) -> MultiPoly:
+        """t^m P(x/t), built on first read and shared per bundle."""
+        return self.ball.homogeneous
 
     @cached_property
     def poly(self) -> MultiPoly:
@@ -148,8 +151,8 @@ def cone_basis(params: ConeFamilyParams, n: int, convention: str = "orthonormal"
     out = []
     for m in range(n + 1):
         radial = params.radial(n, m)
-        for k, (belem, ang) in enumerate(params.angular(m, convention)):
-            out.append(ConeBasisElement(n, m, k, radial, belem, ang))
+        for k, belem in enumerate(params.balls(m, convention)):
+            out.append(ConeBasisElement(n, m, k, radial, belem))
     if len(out) != cone_dimension(params.d, n):
         raise DomainError(
             f"internal: built {len(out)} elements, expected {cone_dimension(params.d, n)}"
@@ -169,20 +172,26 @@ def cone_gram(
     """Full Gram matrix of all basis elements of degree <= n_max under the
     normalized cone inner product, by exact separated quadrature.
 
-    The radial factors go through the three-term recurrence at the t-nodes,
-    the ball factors P_{m,k} through their coefficients at the ball nodes;
-    gram.separable_gram contracts the two small Grams."""
+    Each ball factor P_{m,k} splits into its radial factor at the ball's
+    radii and its harmonic at the sphere nodes, so no ball polynomial is
+    multiplied out; gram.separable_gram contracts the three factor Grams."""
     params.require_valid(n_max)
     elements = [
         e for n in range(n_max + 1) for e in cone_basis(params, n, convention)
     ]
     factors = cone_factors(params.d, params.mu, params.radial_weight(), 2 * n_max)
+    r, r_weights = factors.radii
     return separable_gram(
         elements,
-        factors,
-        params.values,
-        lambda e: ((e.m, e.k), e.ball.poly),
+        [
+            t_factor(factors.t_rule, params.values),
+            (r_weights, lambda e: e.ball.radial, lambda e: e.ball.scale * e.ball.radial.values(r)),
+            sphere_factor(
+                factors.sphere, lambda e: (e.ball.radial.k, e.ball.l), lambda e: e.ball.harmonic
+            ),
+        ],
         [expected_sq_norm(params, e) for e in elements],
+        abs(factors.total_weight - 1.0),
     )
 
 
@@ -324,7 +333,7 @@ def recurrence_residual(
     if n < m + 1:
         raise DomainError("recurrence check needs n >= m + 1")
     params.require_valid(n + 1)
-    ang = params.angular(m)[ball_index][1]
+    ang = params.balls(m)[ball_index].homogeneous
     d = params.d
 
     def elem(k: int) -> MultiPoly:
@@ -430,7 +439,7 @@ def limit_to_laguerre(
     if params.family != "M":
         raise DomainError("the limit relation starts from the M family")
     d, mu, q = params.d, params.mu, params.q
-    ang = params.angular(m)[ball_index][1]
+    ang = params.balls(m)[ball_index].homogeneous
     params.require_shape(q, "q")
     target_radial = ConeFamilyParams(d, mu, "L", beta=q, limit_target=True).radial(n, m)
     sign = -1.0 if (n - m) % 2 else 1.0

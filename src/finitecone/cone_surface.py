@@ -19,7 +19,7 @@ import numpy as np
 
 from .cone_solid import LimitReport, cone_sample_grid
 from .errors import DomainError, QNotMinusOneError, UnsupportedDimension
-from .gram import GramResult, separable_gram
+from .gram import GramResult, separable_gram, sphere_factor, t_factor
 from .harmonics import harmonic_basis
 from .polyalg import MultiPoly
 from .quadrature import Shift, surface_factors, surface_shift
@@ -113,18 +113,20 @@ def surface_gram(params: SurfaceParams, n_max: int) -> GramResult:
     """Gram matrix of all elements of degree <= n_max under the normalized
     surface inner product, by the x = xi t separated quadrature.
 
-    The radial factors go through the three-term recurrence at the t-nodes,
-    the harmonics Y_{m,l} through their coefficients at the sphere nodes;
-    gram.separable_gram contracts the two small Grams."""
+    The two-factor case of the cone Gram: radial factors at the t-nodes,
+    the harmonics Y_{m,l} at the sphere nodes; gram.separable_gram
+    contracts the two factor Grams."""
     params.require_valid(n_max)
     elements = [e for n in range(n_max + 1) for e in surface_basis(params, n)]
     factors = surface_factors(params.d, params.radial_weight(), 2 * n_max)
     return separable_gram(
         elements,
-        factors,
-        params.values,
-        lambda e: ((e.m, e.l), e.harmonic),
+        [
+            t_factor(factors.t_rule, params.values),
+            sphere_factor(factors.sphere, lambda e: (e.m, e.l), lambda e: e.harmonic),
+        ],
         [params.norm(e.m, e.n) for e in elements],
+        abs(factors.total_weight - 1.0),
     )
 
 
@@ -182,14 +184,16 @@ def surface_diffdiff_residual_n(params: SurfaceParams, element: SurfaceElement) 
     return lhs - rhs
 
 
-def laguerre_surface_ode_residual(d: int, n: int, m: int, beta: float = -1.0) -> UniPoly:
+def laguerre_surface_ode_residual(params: SurfaceParams, n: int, m: int) -> UniPoly:
     """Residual of the beta = -1 Laguerre surface operator on the reduced
-    carrier, multiplied by t: t^2 g'' + t (d-1-t) g' - m(m+d-2) g + n t g."""
+    carrier g = radial * t^m of the bundle, multiplied by t:
+    t^2 g'' + t (d-1-t) g' - m(m+d-2) g + n t g."""
+    d = params.d
     if d < 2:
         raise UnsupportedDimension("the surface operator needs d >= 2")
-    if beta != -1.0:
+    if params.family != "L" or params.beta != -1.0:
         raise DomainError("the degree-only eigenvalue holds at beta = -1")
-    g = SurfaceParams(d, "L", beta=beta).radial(n, m).shift_up(m)
+    g = params.radial(n, m).shift_up(m)
     g1 = g.derivative()
     g2 = g1.derivative()
     return (

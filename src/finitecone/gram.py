@@ -1,17 +1,16 @@
 """The Gram contraction shared by the solid-cone and conic-surface families.
 
-Every element is radial(t) t^m A(y) at the rule point (t y, t): a radial
-polynomial, the power t^m its homogeneous angular part contributes, and an
-angular factor A evaluated on the unit ball (solid cone, A a ball
-polynomial) or the unit sphere (surface, A a harmonic).  The rule is the
-tensor product of a t-rule and an angular rule, so the product-rule Gram
-sum splits exactly into two small Grams, contracted entrywise:
+Every element is a product of factors, each a function of one coordinate
+of a tensor-product rule: on the conic surface radial(t) t^m at the
+t-nodes times a harmonic Y at the sphere nodes; on the solid cone
+radial(t) t^m times the ball factor R(r) = P_j(2r^2 - 1) r^k at the
+ball's radii times a harmonic at the sphere nodes.  The product-rule Gram
+sum then splits exactly into small factor Grams, contracted entrywise:
 
-    G = (R W_t R^T)[r, r] * (A W_a A^T)[a, a]
+    G = (R W_t R^T)[n,m] * (J W_r J^T)[j,k] * (H W_s H^T)[k,l]
 
-R holds radial(t_i) t_i^m for each distinct (n, m), A each distinct
-angular factor at the angular nodes, and r, a map elements to their rows.
-The angular Gram is computed by quadrature, never assumed to be the
+Each factor's rows hold its distinct factors at its nodes, and the
+indices map elements to their rows.  No factor Gram is assumed to be the
 identity, so the certificate stays independent of the closed-form norms.
 """
 
@@ -32,39 +31,38 @@ class GramResult:
     unit_norm_dev: float  # |<1,1> - 1|
 
 
-def _distinct(keys):
-    """Distinct keys in first-seen order, and each key's position there."""
-    first: dict = {}
-    idx = [first.setdefault(k, len(first)) for k in keys]
-    return list(first), np.array(idx, dtype=int)
+def separable_gram(elements, factors, expected, unit_norm_dev: float) -> GramResult:
+    """Gram matrix of elements under a normalized tensor-product rule.
 
-
-def separable_gram(elements, factors, radial_values, angular_factor, expected) -> GramResult:
-    """Gram matrix of elements under the normalized tensor-product rule.
-
-    elements carry n and m; factors is a quadrature.FactorRules pair;
-    radial_values(n, m, ts) evaluates the radial factor at the t-nodes;
-    angular_factor(element) returns (key, MultiPoly), the key shared by
-    elements with the same angular factor; expected holds the predicted
-    diagonal."""
-    ts = np.asarray(factors.t_rule.nodes)
-    radial_keys, r_idx = _distinct((e.n, e.m) for e in elements)
-    radial = np.vstack([radial_values(n, m, ts) * ts**m for n, m in radial_keys])
-    radial_gram = (radial * np.asarray(factors.t_rule.weights)) @ radial.T
-
-    pairs = [angular_factor(e) for e in elements]
-    polys = dict(pairs)
-    angular_keys, a_idx = _distinct(key for key, _ in pairs)
-    y = factors.angular.points
-    at_unit_t = np.column_stack([y, np.ones(len(y))])
-    angular = np.vstack([polys[k].evaluate_many(at_unit_t) for k in angular_keys])
-    angular_gram = (angular * factors.angular.weights) @ angular.T
-
-    gram = radial_gram[np.ix_(r_idx, r_idx)] * angular_gram[np.ix_(a_idx, a_idx)]
+    factors lists (weights, key, row) per rule factor: weights at its
+    nodes, key(element) naming the element's factor, shared by elements
+    with the same factor, and row(element) that factor at the nodes, read
+    once per key; expected holds the predicted diagonal and unit_norm_dev
+    the rule's |mass - 1|."""
+    gram = 1.0
+    for weights, key, row in factors:
+        first: dict = {}  # key -> (row index, first element with that key)
+        idx = np.array([first.setdefault(key(e), (len(first), e))[0] for e in elements])
+        rows = np.vstack([np.broadcast_to(row(e), weights.shape) for _, e in first.values()])
+        gram = gram * ((rows * weights) @ rows.T)[idx][:, idx]
     expected = np.asarray(expected, dtype=float)
     normalized = gram / np.sqrt(np.outer(expected, expected))
     off = normalized - np.diag(np.diag(normalized))
     max_off = float(np.max(np.abs(off))) if len(elements) > 1 else 0.0
     max_diag_rel = float(np.max(np.abs(np.diag(gram) - expected) / expected))
-    unit_dev = abs(factors.total_weight - 1.0)
-    return GramResult(tuple(elements), gram, expected, max_off, max_diag_rel, unit_dev)
+    return GramResult(tuple(elements), gram, expected, max_off, max_diag_rel, unit_norm_dev)
+
+
+def t_factor(t_rule, values):
+    """The t factor of a cone or surface element: values(n, m, ts) ts^m,
+    the radial factor times the power its angular part contributes."""
+    ts = np.asarray(t_rule.nodes)
+    return (
+        np.asarray(t_rule.weights), lambda e: (e.n, e.m), lambda e: values(e.n, e.m, ts) * ts**e.m
+    )
+
+
+def sphere_factor(sphere, key, harmonic):
+    """The sphere factor: harmonic(element) at the sphere nodes."""
+    at_unit_t = np.column_stack([sphere.points, np.ones(len(sphere.points))])
+    return sphere.weights, key, lambda e: harmonic(e).evaluate_many(at_unit_t)

@@ -16,16 +16,19 @@ Product rules for the ball, the solid cone and the conic surface are
 returned with *normalized* weights (total mass one against the normalized
 measure), so that large parameters never overflow; the raw entry points
 multiply back the closed-form total mass.  The cone and surface rules are
-tensor products of a t-rule with a ball or sphere rule: `cone_factors` and
-`surface_factors` return that pair, with the integrability window checked
-in one place, and the Gram contraction uses it without materializing the
-product.
+tensor products of a t-rule with the ball rule (itself an r-rule crossed
+with a sphere rule) or the sphere rule: `cone_factors` and
+`surface_factors` return those factors, with the integrability window
+checked in one place, and the Gram contraction uses them without
+materializing the product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -300,11 +303,24 @@ def integrate_wp_invexp(f: UniPoly, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ball_rule(d: int, mu: float, max_degree: int, normalized: bool = True) -> ProductRule:
-    """Rule for the unit-ball weight (1-|x|^2)^(mu-1/2); points in R^d.
+def ball_radii(d: int, mu: float, max_degree: int):
+    """Radial factor of the ball rule: the radii r and the normalized
+    Gauss-Jacobi weights in u = 2r^2 - 1 (the spherical average of a
+    polynomial is even in r)."""
+    u_nodes, u_weights = gauss_jacobi(max_degree // 2 + 1, mu - 0.5, (d - 2) / 2.0, normalized=True)
+    return np.sqrt((1.0 + u_nodes) / 2.0), u_weights
 
-    Radial part in u = 2r^2 - 1 (the spherical average of a polynomial is
-    even in r), sphere part from the dimension-matched sphere rule.
+
+def _ball_product(radii, srule: ProductRule):
+    """Points and weights of the radii crossed with the sphere rule."""
+    r, weights = radii
+    points = (r[:, None, None] * srule.points[None]).reshape(-1, srule.points.shape[1])
+    return points, np.outer(weights, srule.weights).ravel()
+
+
+def ball_rule(d: int, mu: float, max_degree: int, normalized: bool = True) -> ProductRule:
+    """Rule for the unit-ball weight (1-|x|^2)^(mu-1/2); points in R^d:
+    ball_radii crossed with the dimension-matched sphere rule.
     Normalized form integrates against the mass-one measure.
     """
     from .harmonics import sphere_rule  # deferred: harmonics uses ProductRule
@@ -312,11 +328,7 @@ def ball_rule(d: int, mu: float, max_degree: int, normalized: bool = True) -> Pr
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
     srule = sphere_rule(d, max_degree)
-    n_radial = max_degree // 2 + 1
-    u_nodes, u_weights = gauss_jacobi(n_radial, mu - 0.5, (d - 2) / 2.0, normalized=True)
-    r = np.sqrt((1.0 + u_nodes) / 2.0)
-    points = (r[:, None, None] * srule.points[None]).reshape(-1, d)
-    weights = np.outer(u_weights, srule.weights).ravel()
+    points, weights = _ball_product(ball_radii(d, mu, max_degree), srule)
     if not normalized:
         weights = weights / ball_mass_normalization(d, mu)
     return ProductRule(
@@ -332,20 +344,30 @@ def ball_mass_normalization(d: int, mu: float) -> float:
 
 @dataclass(frozen=True)
 class FactorRules:
-    """The two factors of a solid-cone or conic-surface rule.
+    """The factors of a solid-cone or conic-surface rule.
 
     The point (x, t) = (t y, t) runs over the t-nodes crossed with the
-    angular points y: the unit ball for the solid cone, the unit sphere for
-    the surface.  The t-rule carries the radial weight with the Jacobian
-    power of t absorbed; both factors are normalized to mass one, and
-    log_raw_mass is the log of the unnormalized measure's total mass.
+    angular points y: on the solid cone y = r s with the ball's radii r
+    crossed with the sphere points s, on the surface y = s (radii None).
+    The t-rule carries the radial weight with the Jacobian power of t
+    absorbed; every factor is normalized to mass one, and log_raw_mass is
+    the log of the unnormalized measure's total mass.
     """
 
     t_rule: QuadRule
-    angular: ProductRule
+    radii: Optional[tuple]  # (r, weights) of ball_radii, or None
+    sphere: ProductRule
     log_raw_mass: float
     exactness_degree: int
     descriptor: str
+
+    @cached_property
+    def angular(self) -> ProductRule:
+        """The materialized angular rule: the ball rule or the sphere rule."""
+        if self.radii is None:
+            return self.sphere
+        points, weights = _ball_product(self.radii, self.sphere)
+        return ProductRule(points, weights, self.exactness_degree, "ball factor [normalized]")
 
     @property
     def total_weight(self) -> float:
@@ -420,11 +442,13 @@ def cone_factors(d: int, mu: float, weight, max_degree: int) -> FactorRules:
     t^(d + 2mu - 1) into the weight, the ball rule handles the inner
     integral exactly.
     """
+    from .harmonics import sphere_rule
+
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
     t_rule, log_mass = _radial_factor(weight, solid_shift(d, mu), max_degree)
     return FactorRules(
-        t_rule, ball_rule(d, mu, max_degree, normalized=True),
+        t_rule, ball_radii(d, mu, max_degree), sphere_rule(d, max_degree),
         log_mass - math.log(ball_mass_normalization(d, mu)), max_degree,
         f"solid cone d={d} mu={mu} w={weight}",
     )
@@ -440,7 +464,7 @@ def surface_factors(d: int, weight, max_degree: int) -> FactorRules:
 
     t_rule, log_mass = _radial_factor(weight, surface_shift(d), max_degree)
     return FactorRules(
-        t_rule, sphere_rule(d, max_degree), log_mass + math.log(surface_area(d)),
+        t_rule, None, sphere_rule(d, max_degree), log_mass + math.log(surface_area(d)),
         max_degree, f"conic surface d={d} w={weight}",
     )
 

@@ -1,5 +1,4 @@
-"""Scalar special-function kernel: Gamma, Pochhammer, terminating
-hypergeometric sums.
+"""Scalar special-function kernel: Gamma and Pochhammer.
 
 Everything here is pure and thread-safe.  Gamma uses the platform libm
 (a Lanczos-class implementation with reflection), which meets the 1e-13
@@ -71,36 +70,3 @@ def pochhammer(a: float, m: int) -> float:
     for j in range(m):
         out *= a + j
     return out
-
-
-def hyper_terminating(top, bottom, z: float) -> float:
-    """Terminating generalized hypergeometric sum.
-
-    Some top parameter must be a non-positive integer -n; the series is the
-    finite sum of n+1 terms.  Terms are accumulated with exact (fsum)
-    summation because they alternate in sign for negative z.
-
-    Raises DomainError if no top parameter terminates the series, PoleError
-    if a bottom parameter hits zero inside the summation range.
-    """
-    top = tuple(float(a) for a in top)
-    bottom = tuple(float(b) for b in bottom)
-    cutoffs = [int(round(-a)) for a in top if _is_nonpositive_integer(a)]
-    if not cutoffs:
-        raise DomainError("no top parameter is a non-positive integer; series does not terminate")
-    n = min(cutoffs)
-    for b in bottom:
-        if _is_nonpositive_integer(b) and b >= -n:
-            raise PoleError(f"bottom parameter {b} hits a pole within the terminating range")
-    terms = []
-    term = 1.0
-    for m in range(n + 1):
-        terms.append(term)
-        num = 1.0
-        for a in top:
-            num *= a + m
-        den = 1.0
-        for b in bottom:
-            den *= b + m
-        term = term * num / den * z / (m + 1)
-    return math.fsum(terms)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import DegenerateParamError, DomainError, ValidityError
 from .quadrature import Shift, WeightGammaExp, WeightInvExp, WeightMPQ
-from .scalars import factorial_real, gamma_fn, gamma_ratio, hyper_terminating, pochhammer
+from .scalars import factorial_real, gamma_fn, gamma_ratio, pochhammer
 from .unipoly import UniPoly, fsum_build
 
 
@@ -396,18 +396,27 @@ class ShiftedRadial:
         evaluate = {"M": eval_m, "N": eval_n, "L": eval_laguerre}[self.family]
         return evaluate(n - m, self._shifted(m), ts)
 
+    @cached_property
+    def _norms(self) -> dict:
+        return {}
+
     def norm(self, m: int, n: int) -> float:
         """Norm square of a degree-n element of angular degree m with an
         orthonormal angular factor: the univariate norm at the shifted
         parameters times the Gamma ratio of the shifted weights'
-        normalizations at 0 and at m."""
+        normalizations at 0 and at m.  Computed once per bundle."""
+        if (m, n) in self._norms:
+            return self._norms[m, n]
         self.require_valid(n)
         a, b = self._shifted(0), self._shifted(m)
         if self.family == "M":
-            return gamma_ratio([b.p - 1, b.q + 1], [a.p - 1, a.q + 1]) * norm_m(n - m, b)
-        if self.family == "N":
-            return gamma_ratio([b.p - 1], [a.p - 1]) * norm_n(n - m, b)
-        return gamma_ratio([b + 1], [a + 1]) * pochhammer(b + 1, n - m) / factorial_real(n - m)
+            norm = gamma_ratio([b.p - 1, b.q + 1], [a.p - 1, a.q + 1]) * norm_m(n - m, b)
+        elif self.family == "N":
+            norm = gamma_ratio([b.p - 1], [a.p - 1]) * norm_n(n - m, b)
+        else:
+            norm = gamma_ratio([b + 1], [a + 1]) * pochhammer(b + 1, n - m) / factorial_real(n - m)
+        self._norms[m, n] = norm
+        return norm
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +429,8 @@ def _require_jacobi(alpha: float, beta: float) -> None:
         raise ValidityError("alpha > -1 and beta > -1", f"alpha = {alpha}, beta = {beta}")
 
 
-def eval_jacobi(n: int, alpha: float, beta: float, t: float) -> float:
-    """Jacobi polynomial via its terminating hypergeometric definition."""
-    _require_jacobi(alpha, beta)
-    f = hyper_terminating((-n, n + alpha + beta + 1), (alpha + 1,), (1 - t) / 2)
-    return pochhammer(alpha + 1, n) / factorial_real(n) * f
-
-
-def coeffs_jacobi(n: int, alpha: float, beta: float) -> UniPoly:
-    _require_jacobi(alpha, beta)
-    if n == 0:
-        return UniPoly.one()
-    m2, m1 = UniPoly.one(), UniPoly(((alpha - beta) / 2, (alpha + beta + 2) / 2))
+def _jacobi_steps(n: int, alpha: float, beta: float):
+    """(f0, f1, f2) with P_i = (f0 + f1 x) P_(i-1) - f2 P_(i-2), i = 2..n."""
     for i in range(2, n + 1):
         den = i * (i + alpha + beta) * (2 * i + alpha + beta - 2)
         f0 = (2 * i + alpha + beta - 1) * (alpha * alpha - beta * beta) / (2 * den)
@@ -442,6 +441,26 @@ def coeffs_jacobi(n: int, alpha: float, beta: float) -> UniPoly:
             / (2 * den)
         )
         f2 = (i + alpha - 1) * (i + beta - 1) * (2 * i + alpha + beta) / den
+        yield f0, f1, f2
+
+
+def eval_jacobi(n: int, alpha: float, beta: float, t):
+    """Jacobi polynomial by its three-term recurrence; t may be an array."""
+    _require_jacobi(alpha, beta)
+    if n == 0:
+        return 1.0
+    m2, m1 = 1.0, (alpha - beta) / 2 + (alpha + beta + 2) / 2 * t
+    for f0, f1, f2 in _jacobi_steps(n, alpha, beta):
+        m2, m1 = m1, m1 * f0 + t * m1 * f1 - m2 * f2
+    return m1
+
+
+def coeffs_jacobi(n: int, alpha: float, beta: float) -> UniPoly:
+    _require_jacobi(alpha, beta)
+    if n == 0:
+        return UniPoly.one()
+    m2, m1 = UniPoly.one(), UniPoly(((alpha - beta) / 2, (alpha + beta + 2) / 2))
+    for f0, f1, f2 in _jacobi_steps(n, alpha, beta):
         m2, m1 = m1, m1.scale(f0) + m1.shift_up().scale(f1) - m2.scale(f2)
     return m1
 
@@ -500,11 +519,15 @@ def _require_gegenbauer(m: int, mu: float) -> None:
         )
 
 
-def eval_gegenbauer(m: int, mu: float, x: float) -> float:
-    """Gegenbauer polynomial via the Gauss hypergeometric definition."""
+def eval_gegenbauer(m: int, mu: float, x):
+    """Gegenbauer polynomial by its three-term recurrence; x may be an array."""
     _require_gegenbauer(m, mu)
-    f = hyper_terminating((-m, m + 2 * mu), (mu + 0.5,), (1 - x) / 2)
-    return pochhammer(2 * mu, m) / factorial_real(m) * f
+    if m == 0:
+        return 1.0
+    m2, m1 = 1.0, 2 * mu * x
+    for k in range(2, m + 1):
+        m2, m1 = m1, (2 * (k + mu - 1) * x * m1 - (k + 2 * mu - 2) * m2) / k
+    return m1
 
 
 def coeffs_gegenbauer(m: int, mu: float) -> UniPoly:

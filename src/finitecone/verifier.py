@@ -352,9 +352,10 @@ def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
         )
         if dom.homogeneity:
             # degree n adds the angular factors of degree m = n
+            angular = [b.homogeneous for b in params.balls(n, spec.convention)]
             homogeneity.extend(
                 (apply_operator(euler, ang) - ang.scale(n)).rel_residual_against(ang)
-                for _, ang in params.angular(n, spec.convention)
+                for ang in angular
             )
             worst = max([0.0, *homogeneity])
             col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
@@ -411,6 +412,7 @@ def _gram(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
 
 def _uni_ode(residual, build, spec: ParsedDescriptor, col: _Collector, th, identity):
     params = spec.params
+    params.require_valid(spec.n_max)
     for n in range(spec.n_max + 1):
         res = residual(n, params)
         col.add(
@@ -449,7 +451,7 @@ def _laguerre_surface_rows(target: SurfaceParams, n_max: int, prefix: str, col: 
     target.require_valid(0)
     for n in range(n_max + 1):
         for m in range(n + 1):
-            res = laguerre_surface_ode_residual(target.d, n, m, target.beta)
+            res = laguerre_surface_ode_residual(target, n, m)
             col.add(
                 f"{prefix}/n{n}.m{m}", "laguerre-surface-ode",
                 res.rel_residual_against(target.radial(n, m).shift_up(m)), th["residual_rel"],
@@ -458,6 +460,7 @@ def _laguerre_surface_rows(target: SurfaceParams, n_max: int, prefix: str, col: 
 
 def _uni_recurrence(kind, build, oracle, spec: ParsedDescriptor, col: _Collector, th, identity):
     params, n_max = spec.params, spec.n_max
+    params.require_valid(n_max)
     for n in range(n_max + 1):
         rec = build(n, params)
         rod = oracle(n, params)

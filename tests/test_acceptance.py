@@ -225,7 +225,7 @@ def test_criterion_7_limit_relations():
     for d in (2, 3):
         for n in range(5):
             for m in range(n + 1):
-                res = laguerre_surface_ode_residual(d, n, m)
+                res = laguerre_surface_ode_residual(SurfaceParams(d, "L", beta=-1.0), n, m)
                 g = coeffs_laguerre(n - m, 2 * m + d - 2).shift_up(m)
                 worst = max(worst, res.rel_residual_against(g))
     ok = ok and worst <= 1e-9

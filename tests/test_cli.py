@@ -266,7 +266,7 @@ def test_family_choices_are_the_verifier_families():
 
 
 def test_verify_probe_below_the_uni_q_window(capsys):
-    # every uni-M suite is guarded, and the limit names q > -1
+    # every uni-M suite checks the window first, and the limit names q > -1
     args = ["verify", "--family", "uni-M", "-p", "30", "-q", "-1.5", "-n", "3"]
     code, _, err = run_cli(capsys, *args, "--suite", "limit")
     assert code == 2
@@ -274,4 +274,5 @@ def test_verify_probe_below_the_uni_q_window(capsys):
     code, out, _ = run_cli(capsys, *args, "--probe")
     assert code == 0
     lines = [line.split()[:2] for line in out.splitlines() if "EXPECTED-FAILURE" in line]
-    assert lines == [["EXPECTED-FAILURE", "gram"], ["EXPECTED-FAILURE", "limit"]]
+    suites = ("gram", "ode", "recurrence", "limit")
+    assert lines == [["EXPECTED-FAILURE", suite] for suite in suites]

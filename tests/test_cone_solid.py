@@ -305,10 +305,10 @@ def test_poly_is_built_on_first_read_as_the_eager_product(params, convention):
         for m in range(n + 1):
             rad_mp = MultiPoly.from_unipoly_t(params.radial(n, m), params.d)
             built = [el for el in elements if (el.n, el.m) == (n, m)]
-            angular = params.angular(m, convention)
-            assert len(built) == len(angular)
-            for el, (_, ang) in zip(built, angular):
-                eager = rad_mp * ang
+            balls = params.balls(m, convention)
+            assert len(built) == len(balls)
+            for el, b in zip(built, balls):
+                eager = rad_mp * b.homogeneous
                 assert el.poly.terms.keys() == eager.terms.keys()
                 assert all(el.poly.terms[e] == c for e, c in eager.terms.items())
                 assert el.poly is el.poly

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from finitecone import univariate
 from finitecone.cone_solid import cone_sample_grid
 from finitecone.cone_surface import (
     SurfaceParams,
@@ -189,13 +190,27 @@ def test_laguerre_surface_ode():
     for d in (2, 3):
         for n in range(5):
             for m in range(n + 1):
-                res = laguerre_surface_ode_residual(d, n, m)
+                res = laguerre_surface_ode_residual(SurfaceParams(d, "L", beta=-1.0), n, m)
                 g = coeffs_laguerre(n - m, 2 * m + d - 2).shift_up(m)
                 assert res.rel_residual_against(g) < 1e-9
     with pytest.raises(DomainError):
-        laguerre_surface_ode_residual(2, 1, 0, beta=0.0)
+        laguerre_surface_ode_residual(SurfaceParams(2, "L", beta=0.0), 1, 0)
     with pytest.raises(UnsupportedDimension):
-        laguerre_surface_ode_residual(1, 1, 0)
+        laguerre_surface_ode_residual(SurfaceParams(1, "L", beta=-1.0), 1, 0)
+
+
+def test_laguerre_surface_ode_rows_build_each_radial_once(monkeypatch):
+    calls = []
+    orig = univariate.coeffs_laguerre
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(univariate, "coeffs_laguerre", counted)
+    rep = run_suite("ode", {"family": "surf-L", "d": 2, "beta": -1.0, "n_max": 4})
+    assert rep.passed and len(rep.checks) == 15
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_harmonic_split_matches_dimension():

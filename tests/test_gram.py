@@ -1,22 +1,26 @@
 """Separable Gram contraction: it must equal, entry by entry, the Gram
 built on the materialized product rule from the full element polynomials,
-for every cone and surface family; and the shared window checks of the
-factor rules name the violated inequality."""
+for every cone and surface family, without multiplying out any ball
+polynomial; and the shared window checks of the factor rules name the
+violated inequality."""
 
 import numpy as np
 import pytest
 
+from finitecone import ball, polyalg
 from finitecone.cone_solid import ConeFamilyParams, cone_basis, cone_gram
 from finitecone.cone_surface import SurfaceParams, surface_basis, surface_gram
 from finitecone.errors import IntegrabilityError
 from finitecone.quadrature import (
     WeightGammaExp,
     WeightMPQ,
+    ball_rule,
     cone_factors,
     cone_rule,
     surface_factors,
     surface_rule,
 )
+from finitecone.verifier import run_suite
 
 CONE_FAMILIES = (
     ("M", {"p": 30.0, "q": 0.4}),
@@ -66,6 +70,38 @@ def test_surface_gram_matches_materialized_rule(family, kw, d):
     elements = [e for n in range(n_max + 1) for e in surface_basis(params, n)]
     _assert_entrywise(res.matrix, _materialized(rule, [e.poly for e in elements]))
     assert res.unit_norm_dev == abs(rule.total_weight - 1.0)
+
+
+def test_cone_gram_ball_factor_stays_accurate_at_high_degree():
+    # the ball factors' monomial expansion cancels to 8e-11 here
+    res = cone_gram(ConeFamilyParams(2, 0.5, "L", beta=0.0), 20)
+    assert res.max_offdiag <= 1e-12
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_cone_gram_composes_no_ball_polynomial(monkeypatch, d):
+    calls = []
+
+    def counting(name, orig):
+        def counted(*args):
+            calls.append(name)
+            return orig(*args)
+        return counted
+
+    for owner, name in ((ball, "_compose_radial"), (ball, "homogenize"), (polyalg, "homogenize")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    desc = {"family": "cone-M", "d": d, "mu": 0.75, "p": 40.0, "q": 0.0, "n_max": 5}
+    assert run_suite("gram", desc).passed
+    assert calls == []
+    run_suite("dims", desc)  # reads every homogenization: the counters see it
+    assert "homogenize" in calls and ("_compose_radial" in calls) == (d > 1)
+
+
+def test_cone_factors_cross_to_the_ball_rule():
+    angular = cone_factors(3, 0.75, WeightMPQ(30.0, 0.0), 8).angular
+    rule = ball_rule(3, 0.75, 8)
+    assert np.array_equal(angular.points, rule.points)
+    assert np.array_equal(angular.weights, rule.weights)
 
 
 def test_factor_rules_tensor_is_the_product_rule():

@@ -1,4 +1,4 @@
-"""Scalar kernel checks: Gamma, Pochhammer, terminating hypergeometric."""
+"""Scalar kernel checks: Gamma and Pochhammer."""
 
 import math
 
@@ -10,7 +10,6 @@ from finitecone.scalars import (
     factorial_real,
     gamma_fn,
     gamma_ratio,
-    hyper_terminating,
     pochhammer,
 )
 
@@ -73,41 +72,3 @@ def test_pochhammer_recurrence_property():
 def test_factorial_real():
     assert factorial_real(5.0) == 120.0
     assert abs(factorial_real(0.5) - gamma_fn(1.5)) < 1e-16
-
-
-def test_hyper_zero_top_is_one():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        b = float(rng.uniform(-3.0, 5.0))
-        c = float(rng.uniform(0.5, 5.0))
-        z = float(rng.uniform(-4.0, 4.0))
-        assert hyper_terminating((0.0, b), (c,), z) == 1.0
-
-
-def test_hyper_small_cases():
-    # 2F1(-1, 2; 4; 1) = 1 - 2/4
-    assert hyper_terminating((-1.0, 2.0), (4.0,), 1.0) == pytest.approx(0.5, rel=1e-15)
-    # 2F1(-2, 1; 1; z) = (1-z)^2, brute-force series oracle
-    z = 0.5
-    brute = sum(
-        pochhammer(-2.0, m) * pochhammer(1.0, m) / pochhammer(1.0, m) * z**m / math.factorial(m)
-        for m in range(3)
-    )
-    got = hyper_terminating((-2.0, 1.0), (1.0,), z)
-    assert got == pytest.approx(brute, rel=1e-15)
-    assert got == pytest.approx((1 - z) ** 2, rel=1e-14)
-
-
-def test_hyper_error_paths():
-    with pytest.raises(DomainError):
-        hyper_terminating((1.5, 2.0), (3.0,), 0.5)
-    with pytest.raises(PoleError):
-        hyper_terminating((-3.0, 1.0), (-2.0,), 0.5)
-
-
-def test_hyper_alternating_sum_is_stable():
-    # terminating sum with strongly alternating terms stays near the exact
-    # binomial value (1 - z)^n
-    for n in (5, 10, 15):
-        got = hyper_terminating((-n, 1.0), (1.0,), 2.0)
-        assert got == pytest.approx((-1.0) ** n, rel=1e-11)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from finitecone.errors import DegenerateParamError, ValidityError
 from finitecone.quadrature import integrate_wp_invexp, integrate_wpq
@@ -269,11 +270,15 @@ def test_jacobi():
     assert norm_jacobi(1, 0.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
     with pytest.raises(ValidityError):
         eval_jacobi(2, -1.0, 0.0, 0.1)
-    # coefficient path agrees with hypergeometric evaluation
+    # the coefficient path and the recurrence values (also on an array)
+    # agree with scipy
+    ts = np.array([-0.8, 0.1, 0.9])
     for n in range(6):
         poly = coeffs_jacobi(n, 0.7, -0.3)
-        for t in (-0.8, 0.1, 0.9):
-            assert poly(t) == pytest.approx(eval_jacobi(n, 0.7, -0.3, t), rel=1e-12, abs=1e-14)
+        want = special.eval_jacobi(n, 0.7, -0.3, ts)
+        assert np.allclose(eval_jacobi(n, 0.7, -0.3, ts), want, rtol=1e-12, atol=1e-14)
+        for t, w in zip(ts, want):
+            assert poly(t) == pytest.approx(w, rel=1e-12, abs=1e-14)
 
 
 def test_laguerre_and_rodrigues_oracle():
@@ -315,10 +320,13 @@ def test_gegenbauer():
         coeffs_gegenbauer(2, 0.0)
     with pytest.raises(ValidityError):
         eval_gegenbauer(1, -0.7, 0.5)
+    xs = np.array([-0.9, 0.2, 1.0])
     for m in range(6):
         poly = coeffs_gegenbauer(m, 0.8)
-        for x in (-0.9, 0.2, 1.0):
-            assert poly(x) == pytest.approx(eval_gegenbauer(m, 0.8, x), rel=1e-12, abs=1e-14)
+        want = special.eval_gegenbauer(m, 0.8, xs)
+        assert np.allclose(eval_gegenbauer(m, 0.8, xs), want, rtol=1e-12, atol=1e-14)
+        for x, w in zip(xs, want):
+            assert poly(x) == pytest.approx(w, rel=1e-12, abs=1e-14)
 
 
 def test_max_degree_property():

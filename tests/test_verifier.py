@@ -284,6 +284,22 @@ def test_limit_below_the_m_window_names_it(desc, inequality):
     ]
 
 
+@pytest.mark.parametrize(
+    "suite,desc,inequality",
+    [
+        ("ode", {"family": "uni-N", "p": 4.0, "n_max": 3}, "p > 2N+1"),
+        ("ode", {"family": "uni-M", "p": 30.0, "q": -1.5, "n_max": 3}, "q > -1"),
+        ("recurrence", {"family": "uni-M", "p": 30.0, "q": -1.5, "n_max": 3}, "q > -1"),
+    ],
+)
+def test_uni_identities_check_the_window_first(suite, desc, inequality):
+    with pytest.raises(ValidityError, match=re.escape(f"requires {inequality} (")):
+        run_suite(suite, desc)
+    rep = run_suite(suite, dict(desc, probe=True))
+    assert [(c.name, c.verdict) for c in rep.checks] == [(suite, "expected-failure")]
+    assert f"requires {inequality} (" in rep.checks[0].detail
+
+
 def test_descriptor_defaults():
     spec = parse_descriptor({"family": "cone-N", "p": 30.0, "n_max": 2})
     assert (spec.params.d, spec.params.mu, spec.convention) == (1, 0.5, "orthonormal")
