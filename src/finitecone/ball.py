@@ -15,7 +15,6 @@ from functools import cached_property
 from .errors import DomainError, UnsupportedDimension, ValidityError
 from .harmonics import harmonic_basis, surface_area
 from .polyalg import MultiPoly, OperatorSpec, apply_operator, homogenize
-from .quadrature import ball_mass_normalization
 from .scalars import gamma_ratio
 from .univariate import (
     coeffs_gegenbauer, coeffs_jacobi, eval_gegenbauer, eval_jacobi, norm_gegenbauer, norm_jacobi,
@@ -28,7 +27,7 @@ def ball_normalization(d: int, mu: float) -> float:
     """Constant making the weighted ball integral of 1 equal to 1."""
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
-    return ball_mass_normalization(d, mu)
+    return gamma_ratio([mu + (d + 1) / 2.0], [mu + 0.5]) / math.pi ** (d / 2.0)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 
+from .ball import CONVENTIONS
 from .errors import DomainError, FiniteConeError
 from .verifier import DEFAULT_THRESHOLDS, FAMILIES, SUITES, parse_descriptor, run_suite
 
@@ -37,7 +38,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-n", "--n-max", type=int, default=2, help="maximal total degree")
     sub.add_argument(
         "--convention",
-        choices=("orthonormal", "paper-gegenbauer"),
+        choices=CONVENTIONS,
         default="orthonormal",
         help="angular basis convention (paper-gegenbauer is d = 1 only and "
         "rejects mu = 0, where the hypergeometric definition degenerates)",

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ball import BallElement, ball_basis, ball_normalization
+from .ball import BallElement, ball_basis
 from .errors import (
     DegenerateParamError,
     DomainError,
@@ -28,7 +28,7 @@ from .errors import (
 from .gram import GramResult, separable_gram, sphere_factor, t_factor
 from .polyalg import MultiPoly, OperatorSpec, apply_operator
 from .quadrature import Shift, cone_factors, solid_shift
-from .scalars import factorial_real, gamma_ratio
+from .scalars import factorial_real
 from .unipoly import UniPoly
 from .univariate import ShiftedRadial
 
@@ -104,16 +104,6 @@ class ConeFamilyParams(ShiftedRadial):
             self.require_shape(self.beta, "beta")
         elif self.beta <= -self.d:
             raise ValidityError("beta > -d", f"beta = {self.beta}, d = {self.d}")
-
-    def normalization(self) -> float:
-        """Constant b making <1,1> = 1 for the cone inner product."""
-        c = self.shift.c
-        b_ball = ball_normalization(self.d, self.mu)
-        if self.family == "M":
-            return b_ball * gamma_ratio([self.p + self.q], [self.p - c - 1, self.q + c + 1])
-        if self.family == "N":
-            return b_ball / math.gamma(self.p - c - 1)
-        return b_ball / math.gamma(self.beta + c + 1)
 
 
 @dataclass(frozen=True)

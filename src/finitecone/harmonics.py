@@ -204,7 +204,7 @@ def sphere_rule(d: int, max_degree: int) -> ProductRule:
             s = math.sqrt(max(1.0 - z * z, 0.0))
             for a in ang:
                 pts.append([s * math.cos(a), s * math.sin(a), z])
-                wts.append(wz / 2.0 / k)
+                wts.append(wz / k)
         points = np.asarray(pts)
         weights = np.asarray(wts)
-    return ProductRule(points, weights, max_degree, f"sphere S^{d-1} (normalized)")
+    return ProductRule(points, weights)

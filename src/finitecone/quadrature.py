@@ -12,15 +12,14 @@ the finite-orthogonality window p > deg(f) + 1 manifest; s = 1/t does the
 same for the inverse-exponential weight.  Divergent requests raise
 IntegrabilityError carrying the violated inequality.
 
-Product rules for the ball, the solid cone and the conic surface are
-returned with *normalized* weights (total mass one against the normalized
-measure), so that large parameters never overflow; the raw entry points
-multiply back the closed-form total mass.  The cone and surface rules are
-tensor products of a t-rule with the ball rule (itself an r-rule crossed
-with a sphere rule) or the sphere rule: `cone_factors` and
-`surface_factors` return those factors, with the integrability window
-checked in one place, and the Gram contraction uses them without
-materializing the product.
+Every rule is normalized: its weights sum to one, so it integrates against
+the weight divided by its total mass.  That is the normalized inner product
+under which the paper states orthogonality (<1, 1> = 1), and it keeps large
+parameters from overflowing.  The cone and surface rules are tensor
+products of a t-rule with the ball rule (itself an r-rule crossed with a
+sphere rule) or the sphere rule: `cone_factors` and `surface_factors`
+return those factors, with the integrability window checked in one place,
+and the Gram contraction uses them without materializing the product.
 """
 
 from __future__ import annotations
@@ -33,19 +32,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IntegrabilityError, ValidityError
-from .scalars import gamma_ratio, lgamma_fn
-from .unipoly import UniPoly
+from .scalars import lgamma_fn
 
 
 @dataclass(frozen=True)
 class QuadRule:
-    """One-dimensional rule: sum(w_i f(x_i)) equals the weighted integral
-    exactly for polynomials up to exactness_degree."""
+    """One-dimensional rule: sum(w_i f(x_i)) equals the normalized weighted
+    integral exactly for polynomials up to the degree it was built for."""
 
     nodes: tuple
     weights: tuple
-    exactness_degree: int
-    descriptor: str
 
     def integrate(self, f) -> float:
         return math.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
@@ -61,33 +57,28 @@ class ProductRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
-    descriptor: str
 
     def integrate(self, f) -> float:
-        if hasattr(f, "evaluate_many"):
-            vals = f.evaluate_many(self.points)
-        else:
-            vals = np.array([f(p) for p in self.points])
-        return float(self.weights @ vals)
+        """The rule applied to a MultiPoly f."""
+        return float(self.weights @ f.evaluate_many(self.points))
 
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
 
-def _golub_welsch(diag, offdiag, mass: float):
-    """Nodes and weights from the Jacobi matrix of a weight's monic
-    recurrence: eigenvalues are nodes, first eigenvector components give the
-    weights scaled by the total mass."""
+def _golub_welsch(diag, offdiag):
+    """Nodes and mass-one weights from the Jacobi matrix of a weight's monic
+    recurrence: eigenvalues are nodes, squared first eigenvector components
+    are weights."""
     n = len(diag)
     if n == 1:
-        return np.array([diag[0]]), np.array([mass])
+        return np.array([diag[0]]), np.array([1.0])
     j = np.diag(np.asarray(diag, dtype=float))
     e = np.asarray(offdiag, dtype=float)
     j += np.diag(e, 1) + np.diag(e, -1)
     vals, vecs = np.linalg.eigh(j)
-    return vals, mass * vecs[0, :] ** 2
+    return vals, vecs[0, :] ** 2
 
 
 def _jacobi_matrix_jacobi(n: int, a: float, b: float):
@@ -114,47 +105,29 @@ def _jacobi_matrix_laguerre(n: int, a: float):
     return diag, off
 
 
-def gauss_jacobi(npoints: int, a: float, b: float, normalized: bool = False):
-    """Gauss-Jacobi nodes/weights on [-1, 1] for (1-x)^a (1+x)^b."""
+def gauss_jacobi(npoints: int, a: float, b: float):
+    """Gauss-Jacobi nodes and mass-one weights on [-1, 1] for
+    (1-x)^a (1+x)^b, exact to degree 2 npoints - 1."""
     if a <= -1 or b <= -1:
         raise ValidityError("alpha > -1 and beta > -1", f"alpha = {a}, beta = {b}")
     if npoints < 1:
         raise DomainError("need at least one node")
-    diag, off = _jacobi_matrix_jacobi(npoints, a, b)
-    if normalized:
-        mass = 1.0
-    else:
-        mass = math.exp(
-            (a + b + 1) * math.log(2.0) + lgamma_fn(a + 1) + lgamma_fn(b + 1) - lgamma_fn(a + b + 2)
-        )
-    return _golub_welsch(diag, off, mass)
+    try:
+        diag, off = _jacobi_matrix_jacobi(npoints, a, b)
+    except OverflowError:
+        raise DomainError(f"Gauss-Jacobi recurrence overflows at alpha = {a}, beta = {b}") from None
+    return _golub_welsch(diag, off)
 
 
-def gauss_laguerre(npoints: int, a: float, normalized: bool = False):
-    """Generalized Gauss-Laguerre nodes/weights on [0, inf) for x^a exp(-x)."""
+def gauss_laguerre(npoints: int, a: float):
+    """Generalized Gauss-Laguerre nodes and mass-one weights on [0, inf)
+    for x^a exp(-x), exact to degree 2 npoints - 1."""
     if a <= -1:
         raise ValidityError("alpha > -1", f"alpha = {a}")
     if npoints < 1:
         raise DomainError("need at least one node")
     diag, off = _jacobi_matrix_laguerre(npoints, a)
-    mass = 1.0 if normalized else math.exp(lgamma_fn(a + 1))
-    return _golub_welsch(diag, off, mass)
-
-
-def gauss_rule(kind: str, npoints: int, alpha: float = 0.0, beta: float = 0.0) -> QuadRule:
-    """n-point Gauss rule, exact to degree 2n-1 for the named weight."""
-    if kind == "legendre":
-        nodes, weights = gauss_jacobi(npoints, 0.0, 0.0)
-        desc = "legendre on [-1,1]"
-    elif kind == "jacobi":
-        nodes, weights = gauss_jacobi(npoints, alpha, beta)
-        desc = f"jacobi(alpha={alpha}, beta={beta}) on [-1,1]"
-    elif kind == "laguerre":
-        nodes, weights = gauss_laguerre(npoints, alpha)
-        desc = f"laguerre(alpha={alpha}) on [0,inf)"
-    else:
-        raise DomainError(f"unknown rule kind {kind!r}")
-    return QuadRule(tuple(nodes), tuple(weights), 2 * npoints - 1, desc)
+    return _golub_welsch(diag, off)
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +153,22 @@ class WeightMPQ:
         if self.q <= -1:
             raise IntegrabilityError("q > -1", f"q = {self.q}: divergent at 0")
 
-    def log_mass(self) -> float:
-        # integral of the weight itself: Beta(q+1, p-1)
-        return lgamma_fn(self.q + 1) + lgamma_fn(self.p - 1) - lgamma_fn(self.p + self.q)
-
-    def rule(self, max_degree: int, normalized: bool = False) -> QuadRule:
+    def rule(self, max_degree: int) -> QuadRule:
         """Rule exact for polynomials of degree <= max_degree against the
-        weight, via t = u/(1-u) onto a Jacobi weight."""
+        normalized weight, via t = u/(1-u) onto a Jacobi weight."""
         self.check_degree(max_degree)
         d = max_degree
         a = self.p - 2 - d
         b = self.q
         npts = d + 2
-        u_nodes, u_weights = gauss_jacobi(npts, a, b, normalized=True)
+        u_nodes, u_weights = gauss_jacobi(npts, a, b)
         # the 2-powers of the two substitutions cancel against the Jacobi
-        # mass exactly; only a Gamma ratio survives (Beta(p-1-deg, q+1) raw,
-        # times c_{p,q} when normalized), so nothing overflows for large p.
-        if normalized:
-            log_scale = (
-                lgamma_fn(self.p + self.q) + lgamma_fn(self.p - 1 - d)
-                - lgamma_fn(self.p - 1) - lgamma_fn(self.p + self.q - d)
-            )
-        else:
-            log_scale = (
-                lgamma_fn(self.q + 1) + lgamma_fn(self.p - 1 - d) - lgamma_fn(self.p + self.q - d)
-            )
+        # mass exactly; only the Gamma ratio B(p-1-deg, q+1) / B(p-1, q+1)
+        # survives, so nothing overflows for large p.
+        log_scale = (
+            lgamma_fn(self.p + self.q) + lgamma_fn(self.p - 1 - d)
+            - lgamma_fn(self.p - 1) - lgamma_fn(self.p + self.q - d)
+        )
         scale = math.exp(log_scale)
         nodes = []
         weights = []
@@ -212,11 +176,7 @@ class WeightMPQ:
             u = (1.0 + s) / 2.0
             nodes.append(u / (1.0 - u))
             weights.append(scale * w * (1.0 - u) ** d)
-        return QuadRule(
-            tuple(nodes), tuple(weights), d,
-            f"t^{self.q}/(1+t)^{self.p + self.q} on (0,inf)"
-            + (" [normalized]" if normalized else ""),
-        )
+        return QuadRule(tuple(nodes), tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -234,28 +194,22 @@ class WeightInvExp:
                 "p > deg(f) + 1", f"p = {self.p}, deg = {max_degree}: Gamma pole"
             )
 
-    def log_mass(self) -> float:
-        return lgamma_fn(self.p - 1)
-
-    def rule(self, max_degree: int, normalized: bool = False) -> QuadRule:
-        """Rule exact for degree <= max_degree, via s = 1/t onto the
-        generalized Laguerre weight s^(p-2-deg) exp(-s)."""
+    def rule(self, max_degree: int) -> QuadRule:
+        """Rule exact for degree <= max_degree against the normalized
+        weight, via s = 1/t onto the generalized Laguerre weight
+        s^(p-2-deg) exp(-s)."""
         self.check_degree(max_degree)
         d = max_degree
         a = self.p - 2 - d
         npts = d + 2
-        s_nodes, s_weights = gauss_laguerre(npts, a, normalized=True)
-        log_scale = lgamma_fn(a + 1) - (self.log_mass() if normalized else 0.0)
-        scale = math.exp(log_scale)
+        s_nodes, s_weights = gauss_laguerre(npts, a)
+        scale = math.exp(lgamma_fn(a + 1) - lgamma_fn(self.p - 1))
         nodes = []
         weights = []
         for s, w in sorted(zip(s_nodes, s_weights), reverse=True):
             nodes.append(1.0 / s)
             weights.append(scale * w * s ** d)
-        return QuadRule(
-            tuple(nodes), tuple(weights), d,
-            f"t^-{self.p} exp(-1/t) on (0,inf)" + (" [normalized]" if normalized else ""),
-        )
+        return QuadRule(tuple(nodes), tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -271,31 +225,11 @@ class WeightGammaExp:
         if self.alpha <= -1:
             raise IntegrabilityError("alpha > -1", f"alpha = {self.alpha}")
 
-    def log_mass(self) -> float:
-        return lgamma_fn(self.alpha + 1)
-
-    def rule(self, max_degree: int, normalized: bool = False) -> QuadRule:
+    def rule(self, max_degree: int) -> QuadRule:
+        """Rule exact for degree <= max_degree against the normalized weight."""
         self.check_degree(max_degree)
-        npts = max_degree // 2 + 2
-        nodes, weights = gauss_laguerre(npts, self.alpha, normalized=normalized)
-        return QuadRule(
-            tuple(nodes), tuple(weights), 2 * npts - 1,
-            f"t^{self.alpha} exp(-t) on (0,inf)" + (" [normalized]" if normalized else ""),
-        )
-
-
-def integrate_wpq(f: UniPoly, p: float, q: float) -> float:
-    """Exact integral of a polynomial against t^q/(1+t)^(p+q) on (0, inf)."""
-    deg = max(f.degree, 0)
-    rule = WeightMPQ(p, q).rule(deg)
-    return rule.integrate(f)
-
-
-def integrate_wp_invexp(f: UniPoly, p: float) -> float:
-    """Exact integral of a polynomial against t^-p exp(-1/t) on (0, inf)."""
-    deg = max(f.degree, 0)
-    rule = WeightInvExp(p).rule(deg)
-    return rule.integrate(f)
+        nodes, weights = gauss_laguerre(max_degree // 2 + 2, self.alpha)
+        return QuadRule(tuple(nodes), tuple(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +241,7 @@ def ball_radii(d: int, mu: float, max_degree: int):
     """Radial factor of the ball rule: the radii r and the normalized
     Gauss-Jacobi weights in u = 2r^2 - 1 (the spherical average of a
     polynomial is even in r)."""
-    u_nodes, u_weights = gauss_jacobi(max_degree // 2 + 1, mu - 0.5, (d - 2) / 2.0, normalized=True)
+    u_nodes, u_weights = gauss_jacobi(max_degree // 2 + 1, mu - 0.5, (d - 2) / 2.0)
     return np.sqrt((1.0 + u_nodes) / 2.0), u_weights
 
 
@@ -318,28 +252,15 @@ def _ball_product(radii, srule: ProductRule):
     return points, np.outer(weights, srule.weights).ravel()
 
 
-def ball_rule(d: int, mu: float, max_degree: int, normalized: bool = True) -> ProductRule:
-    """Rule for the unit-ball weight (1-|x|^2)^(mu-1/2); points in R^d:
-    ball_radii crossed with the dimension-matched sphere rule.
-    Normalized form integrates against the mass-one measure.
+def ball_rule(d: int, mu: float, max_degree: int) -> ProductRule:
+    """Rule for the normalized unit-ball weight (1-|x|^2)^(mu-1/2); points
+    in R^d: ball_radii crossed with the dimension-matched sphere rule.
     """
     from .harmonics import sphere_rule  # deferred: harmonics uses ProductRule
 
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
-    srule = sphere_rule(d, max_degree)
-    points, weights = _ball_product(ball_radii(d, mu, max_degree), srule)
-    if not normalized:
-        weights = weights / ball_mass_normalization(d, mu)
-    return ProductRule(
-        points, weights, max_degree,
-        f"ball d={d} mu={mu}" + (" [normalized]" if normalized else ""),
-    )
-
-
-def ball_mass_normalization(d: int, mu: float) -> float:
-    """Reciprocal of the ball weight's total mass."""
-    return gamma_ratio([mu + (d + 1) / 2.0], [mu + 0.5]) / math.pi ** (d / 2.0)
+    return ProductRule(*_ball_product(ball_radii(d, mu, max_degree), sphere_rule(d, max_degree)))
 
 
 @dataclass(frozen=True)
@@ -350,31 +271,26 @@ class FactorRules:
     angular points y: on the solid cone y = r s with the ball's radii r
     crossed with the sphere points s, on the surface y = s (radii None).
     The t-rule carries the radial weight with the Jacobian power of t
-    absorbed; every factor is normalized to mass one, and log_raw_mass is
-    the log of the unnormalized measure's total mass.
+    absorbed; every factor is normalized to mass one.
     """
 
     t_rule: QuadRule
     radii: Optional[tuple]  # (r, weights) of ball_radii, or None
     sphere: ProductRule
-    log_raw_mass: float
-    exactness_degree: int
-    descriptor: str
 
     @cached_property
     def angular(self) -> ProductRule:
         """The materialized angular rule: the ball rule or the sphere rule."""
         if self.radii is None:
             return self.sphere
-        points, weights = _ball_product(self.radii, self.sphere)
-        return ProductRule(points, weights, self.exactness_degree, "ball factor [normalized]")
+        return ProductRule(*_ball_product(self.radii, self.sphere))
 
     @property
     def total_weight(self) -> float:
         """Mass of the tensor-product rule, summed over its points."""
         return float(np.sum(np.outer(self.t_rule.weights, self.angular.weights)))
 
-    def tensor(self, normalized: bool = True) -> ProductRule:
+    def tensor(self) -> ProductRule:
         """The materialized product rule, t-nodes outermost."""
         t = np.asarray(self.t_rule.nodes)
         y = self.angular.points
@@ -383,12 +299,7 @@ class FactorRules:
         points[:, :, :dim] = t[:, None, None] * y[None, :, :]
         points[:, :, dim] = t[:, None]
         weights = np.outer(self.t_rule.weights, self.angular.weights).ravel()
-        if not normalized:
-            weights = weights * math.exp(self.log_raw_mass)
-        return ProductRule(
-            points.reshape(-1, dim + 1), weights, self.exactness_degree,
-            self.descriptor + (" [normalized]" if normalized else ""),
-        )
+        return ProductRule(points.reshape(-1, dim + 1), weights)
 
 
 @dataclass(frozen=True)
@@ -414,8 +325,8 @@ def surface_shift(d: int) -> Shift:
 
 
 def _radial_factor(weight, shift: Shift, max_degree: int):
-    """Normalized t-rule for weight(t) t^c and its log raw mass, after the
-    integrability window of the cone or surface measure:
+    """Normalized t-rule for weight(t) t^c, after the integrability window
+    of the cone or surface measure:
     p > deg(f) + plus, q > minus, beta > minus."""
     eff = weight.absorb_power(shift.c)
     if isinstance(weight, (WeightMPQ, WeightInvExp)):
@@ -432,7 +343,7 @@ def _radial_factor(weight, shift: Shift, max_degree: int):
             )
     else:
         raise DomainError(f"unknown radial weight {type(weight).__name__}")
-    return eff.rule(max_degree, normalized=True), eff.log_mass()
+    return eff.rule(max_degree)
 
 
 def cone_factors(d: int, mu: float, weight, max_degree: int) -> FactorRules:
@@ -446,11 +357,9 @@ def cone_factors(d: int, mu: float, weight, max_degree: int) -> FactorRules:
 
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")
-    t_rule, log_mass = _radial_factor(weight, solid_shift(d, mu), max_degree)
     return FactorRules(
-        t_rule, ball_radii(d, mu, max_degree), sphere_rule(d, max_degree),
-        log_mass - math.log(ball_mass_normalization(d, mu)), max_degree,
-        f"solid cone d={d} mu={mu} w={weight}",
+        _radial_factor(weight, solid_shift(d, mu), max_degree),
+        ball_radii(d, mu, max_degree), sphere_rule(d, max_degree),
     )
 
 
@@ -460,38 +369,19 @@ def surface_factors(d: int, weight, max_degree: int) -> FactorRules:
     Change of variables x = xi t turns the surface integral into the
     t-integral of t^(d-1) w(t) times the spherical average.
     """
-    from .harmonics import sphere_rule, surface_area
+    from .harmonics import sphere_rule
 
-    t_rule, log_mass = _radial_factor(weight, surface_shift(d), max_degree)
     return FactorRules(
-        t_rule, None, sphere_rule(d, max_degree), log_mass + math.log(surface_area(d)),
-        max_degree, f"conic surface d={d} w={weight}",
+        _radial_factor(weight, surface_shift(d), max_degree), None, sphere_rule(d, max_degree)
     )
 
 
-def cone_rule(d: int, mu: float, weight, max_degree: int, normalized: bool = True) -> ProductRule:
+def cone_rule(d: int, mu: float, weight, max_degree: int) -> ProductRule:
     """Product rule on the solid cone: the tensor product of cone_factors."""
-    return cone_factors(d, mu, weight, max_degree).tensor(normalized)
+    return cone_factors(d, mu, weight, max_degree).tensor()
 
 
-def surface_rule(d: int, weight, max_degree: int, normalized: bool = True) -> ProductRule:
+def surface_rule(d: int, weight, max_degree: int) -> ProductRule:
     """Product rule on the conic surface: the tensor product of surface_factors."""
-    return surface_factors(d, weight, max_degree).tensor(normalized)
+    return surface_factors(d, weight, max_degree).tensor()
 
-
-def integrate_ball(d: int, mu: float, f) -> float:
-    """Raw integral of f against the ball weight over the unit ball."""
-    deg = max(getattr(f, "degree", 0), 0)
-    return ball_rule(d, mu, deg, normalized=False).integrate(f)
-
-
-def integrate_cone(d: int, mu: float, weight, f) -> float:
-    """Raw integral of f(x, t) against w(t)(t^2-|x|^2)^(mu-1/2) on the cone."""
-    deg = max(getattr(f, "degree", 0), 0)
-    return cone_rule(d, mu, weight, deg, normalized=False).integrate(f)
-
-
-def integrate_surface(d: int, weight, f) -> float:
-    """Raw integral of f(x, t) against w(t) dsigma on the conic surface."""
-    deg = max(getattr(f, "degree", 0), 0)
-    return surface_rule(d, weight, deg, normalized=False).integrate(f)

@@ -31,12 +31,6 @@ class MParams:
     p: float
     q: float
 
-    def require_basic(self) -> None:
-        if self.p <= 1:
-            raise ValidityError("p > 1", f"p = {self.p}")
-        if self.q <= -1:
-            raise ValidityError("q > -1", f"q = {self.q}")
-
     def require_valid(self, n: int) -> None:
         """Orthogonality up to degree n holds iff p > 2n+1 and q > -1."""
         if self.p <= 2 * n + 1:
@@ -55,10 +49,6 @@ class NParams:
     """Parameter p of the second finite class, weight x^(-p) exp(-1/x)."""
 
     p: float
-
-    def require_basic(self) -> None:
-        if self.p <= 1:
-            raise ValidityError("p > 1", f"p = {self.p}")
 
     def require_valid(self, n: int) -> None:
         if self.p <= 2 * n + 1:
@@ -200,17 +190,6 @@ def coeffs_n_rodrigues(n: int, params: NParams) -> UniPoly:
     sign = -1.0 if n % 2 else 1.0
     pairs = [(2 * n + off, sign * c) for off, c in terms.items()]
     return fsum_build(pairs, n + 1)
-
-
-def normalization_constants(params) -> float:
-    """Normalization constant making <1,1> = 1 for the family weight."""
-    if isinstance(params, MParams):
-        params.require_basic()
-        return gamma_ratio([params.p + params.q], [params.p - 1, params.q + 1])
-    if isinstance(params, NParams):
-        params.require_basic()
-        return 1.0 / gamma_fn(params.p - 1)
-    raise DomainError(f"unsupported parameter bundle {type(params).__name__}")
 
 
 def norm_m(n: int, params: MParams) -> float:

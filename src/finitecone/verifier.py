@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .ball import ball_dimension
+from .ball import CONVENTIONS, ball_dimension
 from .cone_solid import (
     ConeFamilyParams,
     cone_basis,
@@ -55,6 +55,7 @@ from .errors import (
     IntegrabilityError,
     ValidityError,
 )
+from .gram import separable_gram
 from .harmonics import dim_harmonic, harmonic_basis
 from .polyalg import apply_operator, euler_operator
 from .quadrature import WeightInvExp, WeightMPQ
@@ -241,13 +242,16 @@ def _finite_real(value) -> bool:
 def parse_descriptor(desc: dict) -> ParsedDescriptor:
     """Validate a descriptor once and build its parameter bundle.
 
-    Rejects with a DomainError naming the field: an unknown family, a
-    missing n_max or required parameter, a p, q, beta or mu that is not a
-    finite real number, an n_max or d that is not a non-negative int, or a
-    p_grid that is not a list of positive finite numbers.  Other keys pass
-    through.  Defaults: d = 1 on the solid cone, d = 2 on the surface,
-    mu = 0.5.  Validity windows are left to the suites, so that probe mode
-    can report them."""
+    Rejects with a DomainError naming the field: a descriptor that is not a
+    dict, an unknown family, a missing n_max or required parameter, a p, q,
+    beta or mu that is not a finite real number, an n_max or d that is not
+    a non-negative int, a convention outside CONVENTIONS, or a p_grid that
+    is not a list of positive finite numbers with at least 3 distinct
+    values.  Other keys pass through.  Defaults: d = 1 on the solid cone,
+    d = 2 on the surface, mu = 0.5.  Validity windows are left to the
+    suites, so that probe mode can report them."""
+    if not isinstance(desc, dict):
+        raise DomainError(f"descriptor must be a dict, got {type(desc).__name__}")
     family = desc.get("family")
     if family not in FAMILY_SUITES:
         raise DomainError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -266,11 +270,20 @@ def parse_descriptor(desc: dict) -> ParsedDescriptor:
     for key, value in (("n_max", n_max), ("d", d)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise DomainError(f"{key} must be a non-negative int, got {value!r}")
+    convention = desc.get("convention", "orthonormal")
+    if convention not in CONVENTIONS:
+        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     p_grid = desc.get("p_grid", (1e2, 1e3, 1e4))
-    if not isinstance(p_grid, (list, tuple)) or not all(
-        _finite_real(p) and p > 0 for p in p_grid
+    # the limit fit needs 3 distinct p; fewer make its slope 0/0
+    if (
+        not isinstance(p_grid, (list, tuple))
+        or not all(_finite_real(p) and p > 0 for p in p_grid)
+        or len(set(p_grid)) < 3
     ):
-        raise DomainError(f"p_grid must be a list of positive finite numbers, got {p_grid!r}")
+        raise DomainError(
+            f"p_grid must be a list of positive finite numbers with at least 3 distinct "
+            f"values, got {p_grid!r}"
+        )
 
     p, q, beta = desc.get("p"), desc.get("q"), desc.get("beta")
     if domain == "uni":
@@ -279,9 +292,7 @@ def parse_descriptor(desc: dict) -> ParsedDescriptor:
         params = ConeFamilyParams(int(d), float(desc.get("mu", 0.5)), kind, p=p, q=q, beta=beta)
     else:
         params = SurfaceParams(int(d), kind, p=p, q=q, beta=beta)
-    return ParsedDescriptor(
-        family, params, n_max, desc.get("convention", "orthonormal"), tuple(p_grid)
-    )
+    return ParsedDescriptor(family, params, n_max, convention, tuple(p_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +372,24 @@ def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
             col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
 
 
+def _gram_rows(col: _Collector, res, th, identity):
+    col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
+    col.add("gram/offdiag-max", identity, res.max_offdiag, th["gram_offdiag"])
+    col.add("gram/diag-rel-max", identity, res.max_diag_rel, th["gram_diag_rel"])
+
+
 def _uni_gram(weight, evaluate, norm, spec: ParsedDescriptor, col: _Collector, th, identity):
-    params, n_max = spec.params, spec.n_max
-    params.require_valid(n_max)
-    rule = weight(params).rule(2 * n_max, normalized=True)
-    # G = R W R^T with R the recurrence values at the nodes, as in
-    # gram.separable_gram: the coefficient form of p_i p_j cancels.
+    """The one-factor Gram R W R^T, with the degrees as elements and R the
+    recurrence values at the nodes."""
+    params, degrees = spec.params, range(spec.n_max + 1)
+    params.require_valid(spec.n_max)
+    rule = weight(params).rule(2 * spec.n_max)
     ts = np.asarray(rule.nodes)
-    values = np.vstack(
-        [np.broadcast_to(evaluate(n, params, ts), ts.shape) for n in range(n_max + 1)]
+    factor = (np.asarray(rule.weights), lambda n: n, lambda n: evaluate(n, params, ts))
+    res = separable_gram(
+        degrees, [factor], [norm(n, params) for n in degrees], abs(rule.total_weight - 1.0)
     )
-    gram = (values * np.asarray(rule.weights)) @ values.T
-    exp = np.array([norm(n, params) for n in range(n_max + 1)])
-    off = gram / np.sqrt(np.outer(exp, exp))
-    off = off - np.diag(np.diag(off))
-    col.add("gram/unit-norm", "normalization-unit", abs(rule.total_weight - 1.0), th["unit_norm"])
-    col.add("gram/offdiag-max", identity, float(np.max(np.abs(off))), th["gram_offdiag"])
-    col.add(
-        "gram/diag-rel-max",
-        identity,
-        float(np.max(np.abs(np.diag(gram) - exp) / exp)),
-        th["gram_diag_rel"],
-    )
+    _gram_rows(col, res, th, identity)
 
 
 def _diag_rows(col: _Collector, res, th):
@@ -404,9 +411,7 @@ def _diag_rows(col: _Collector, res, th):
 
 def _gram(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
     res = dom.gram(spec.params, spec.n_max, spec.convention)
-    col.add("gram/unit-norm", "normalization-unit", res.unit_norm_dev, th["unit_norm"])
-    col.add("gram/offdiag-max", identity, res.max_offdiag, th["gram_offdiag"])
-    col.add("gram/diag-rel-max", identity, res.max_diag_rel, th["gram_diag_rel"])
+    _gram_rows(col, res, th, identity)
     _diag_rows(col, res, th)
 
 

@@ -76,7 +76,7 @@ def test_criterion_1_univariate_golden():
 
 def test_criterion_2_finite_orthogonality_window():
     p, q, n_max = 12.0, 0.0, 5
-    rule = WeightMPQ(p, q).rule(2 * n_max, normalized=True)
+    rule = WeightMPQ(p, q).rule(2 * n_max)
     polys = [coeffs_m(n, MParams(p, q)) for n in range(n_max + 1)]
     worst_diag = 0.0
     worst_off = 0.0
@@ -93,7 +93,7 @@ def test_criterion_2_finite_orthogonality_window():
     except (ValidityError, IntegrabilityError):
         rejected = True
 
-    rule_n = WeightInvExp(p).rule(2 * n_max, normalized=True)
+    rule_n = WeightInvExp(p).rule(2 * n_max)
     polys_n = [coeffs_n(n, NParams(p)) for n in range(n_max + 1)]
     worst_diag_n = 0.0
     for i in range(n_max + 1):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from finitecone.ball import (
     ball_basis,
@@ -14,7 +15,7 @@ from finitecone.ball import (
 )
 from finitecone.errors import DegenerateParamError, DomainError, UnsupportedDimension, ValidityError
 from finitecone.polyalg import MultiPoly
-from finitecone.quadrature import ball_rule, integrate_ball
+from finitecone.quadrature import ball_rule
 from finitecone.univariate import coeffs_gegenbauer
 
 
@@ -28,8 +29,14 @@ def test_normalization_values():
 
 
 def test_normalization_against_quadrature_reciprocal():
+    # the ball rule integrates against b times the weight, so its mass is
+    # one, and b is the reciprocal of the raw mass
+    # pi^(d/2) Gamma(mu + 1/2) / Gamma(mu + (d+1)/2)
     for d, mu in ((1, 0.5), (2, 0.5), (2, 1.7), (3, 0.25)):
-        mass = integrate_ball(d, mu, MultiPoly.const(d, 1.0))
+        assert ball_rule(d, mu, 0).integrate(MultiPoly.const(d, 1.0)) == pytest.approx(
+            1.0, rel=1e-12
+        )
+        mass = math.pi ** (d / 2) * special.gamma(mu + 0.5) / special.gamma(mu + (d + 1) / 2)
         assert ball_normalization(d, mu) == pytest.approx(1.0 / mass, rel=1e-12)
 
 

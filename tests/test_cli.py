@@ -226,6 +226,14 @@ def test_missing_family_parameter_exits_2(capsys):
     assert "needs p and q" in err
 
 
+def test_huge_parameter_exits_2_naming_the_jacobi_parameters(capsys):
+    code, _, err = run_cli(capsys, "verify", "--family", "cone-M", "-d", "2", "-p", "1e300",
+                           "-q", "0", "-n", "2")
+    assert code == 2
+    assert "alpha = 1e+300" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_threshold(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--family", "uni-N", "-p", "20", "-n", "2",

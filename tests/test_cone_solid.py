@@ -30,7 +30,7 @@ from finitecone.errors import (
     ValidityError,
 )
 from finitecone.polyalg import MultiPoly, apply_operator
-from finitecone.quadrature import integrate_cone
+from finitecone.quadrature import cone_rule
 
 
 def mp(d=1, mu=0.5, p=30.0, q=0.0):
@@ -106,18 +106,20 @@ def test_norm_values_and_oracle():
     params = mp(p=10.0, q=0.0)
     assert params.norm(0, 0) == pytest.approx(1.0, rel=1e-13)
     assert params.norm(1, 1) == pytest.approx(1.0 / 7.0, rel=1e-13)
-    # quadrature oracle: b * int element^2 W over the cone
+    # quadrature oracle: the element's square under the mass-one cone rule
     el = cone_basis(params, 1)[-1]
     assert el.m == 1
-    raw = integrate_cone(1, 0.5, params.radial_weight(), el.poly * el.poly)
-    assert raw * params.normalization() == pytest.approx(1.0 / 7.0, rel=1e-11)
+    sq = el.poly * el.poly
+    got = cone_rule(1, 0.5, params.radial_weight(), sq.degree).integrate(sq)
+    assert got == pytest.approx(1.0 / 7.0, rel=1e-11)
 
     pn = np_params(p=12.0)
     assert pn.norm(0, 1) == pytest.approx(1.0 / 8.0, rel=1e-13)
     el = cone_basis(pn, 1)[0]
     assert el.m == 0
-    raw = integrate_cone(1, 0.5, pn.radial_weight(), el.poly * el.poly)
-    assert raw * pn.normalization() == pytest.approx(1.0 / 8.0, rel=1e-11)
+    sq = el.poly * el.poly
+    got = cone_rule(1, 0.5, pn.radial_weight(), sq.degree).integrate(sq)
+    assert got == pytest.approx(1.0 / 8.0, rel=1e-11)
 
 
 def test_gram_m_and_n():

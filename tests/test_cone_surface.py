@@ -28,8 +28,7 @@ from finitecone.errors import (
 )
 from finitecone.harmonics import dim_harmonic, harmonic_basis
 from finitecone.polyalg import MultiPoly
-from finitecone.quadrature import integrate_surface
-from finitecone.scalars import gamma_fn
+from finitecone.quadrature import surface_rule
 from finitecone.verifier import run_suite
 
 
@@ -87,17 +86,15 @@ def test_norms_and_quadrature_oracle():
     pn = SurfaceParams(2, "N", p=10.0)
     assert pn.norm(0, 1) == pytest.approx(1.0 / 6.0, rel=1e-13)
     el = [e for e in surface_basis(pn, 1) if e.m == 0][0]
-    raw = integrate_surface(2, pn.radial_weight(), el.poly * el.poly)
-    b = 1.0 / (2 * math.pi * gamma_fn(pn.p - 2))
-    assert raw * b == pytest.approx(1.0 / 6.0, rel=1e-11)
+    sq = el.poly * el.poly
+    got = surface_rule(2, pn.radial_weight(), sq.degree).integrate(sq)
+    assert got == pytest.approx(1.0 / 6.0, rel=1e-11)
     # first family spot value cross-checked by quadrature
     pm = SurfaceParams(2, "M", p=10.0, q=0.0)
     el = [e for e in surface_basis(pm, 1) if e.m == 1][0]
-    raw = integrate_surface(2, pm.radial_weight(), el.poly * el.poly)
-    from finitecone.scalars import gamma_ratio
-
-    b = gamma_ratio([pm.p], [pm.p - 2, 2.0]) / (2 * math.pi)  # c_{p-1, q+1} / omega_2
-    assert raw * b == pytest.approx(pm.norm(1, 1), rel=1e-11)
+    sq = el.poly * el.poly
+    got = surface_rule(2, pm.radial_weight(), sq.degree).integrate(sq)
+    assert got == pytest.approx(pm.norm(1, 1), rel=1e-11)
 
 
 def test_gram():

@@ -1,5 +1,6 @@
-"""Quadrature checks: rules against closed-form moments and scipy as an
-independent oracle, transformed integrators, and the product rules."""
+"""Quadrature checks: the mass-one rules against closed-form moment ratios
+and scipy as an independent oracle, the transformed rules, and the product
+rules."""
 
 import math
 
@@ -16,51 +17,62 @@ from finitecone.quadrature import (
     WeightMPQ,
     ball_rule,
     cone_rule,
-    gauss_rule,
-    integrate_ball,
-    integrate_cone,
-    integrate_surface,
-    integrate_wp_invexp,
-    integrate_wpq,
+    gauss_jacobi,
+    gauss_laguerre,
     surface_rule,
 )
-from finitecone.scalars import gamma_fn, gamma_ratio
 from finitecone.unipoly import UniPoly
-from finitecone.univariate import MParams, coeffs_m, norm_m, normalization_constants
+from finitecone.univariate import MParams, coeffs_m, norm_m
+
+
+def jacobi_mass(a, b):
+    """Total mass 2^(a+b+1) B(a+1, b+1) of (1-x)^a (1+x)^b on [-1, 1]."""
+    return 2.0 ** (a + b + 1) * special.beta(a + 1, b + 1)
+
+
+def mpq_moment(p, q, j):
+    """Normalized moment of t^j against t^q/(1+t)^(p+q): a Beta ratio."""
+    return special.beta(q + 1 + j, p - 1 - j) / special.beta(q + 1, p - 1)
+
+
+def monomial(j):
+    return UniPoly((0.0,) * j + (1.0,))
 
 
 def test_gauss_rule_single_point_cases():
-    r = gauss_rule("legendre", 1)
-    assert r.nodes[0] == pytest.approx(0.0, abs=1e-15)
-    assert r.weights[0] == pytest.approx(2.0, rel=1e-14)
-    r = gauss_rule("jacobi", 1, alpha=1.0, beta=0.0)
-    assert r.total_weight == pytest.approx(2.0, rel=1e-13)  # 2^(a+b+1) B(a+1, b+1)
-    r = gauss_rule("laguerre", 1, alpha=0.0)
-    assert r.nodes[0] == pytest.approx(1.0, rel=1e-14)
-    assert r.weights[0] == pytest.approx(1.0, rel=1e-14)
+    nodes, weights = gauss_jacobi(1, 0.0, 0.0)
+    assert nodes[0] == pytest.approx(0.0, abs=1e-15)
+    assert weights[0] * jacobi_mass(0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+    _, weights = gauss_jacobi(1, 1.0, 0.0)
+    assert sum(weights) * jacobi_mass(1.0, 0.0) == pytest.approx(2.0, rel=1e-13)
+    nodes, weights = gauss_laguerre(1, 0.0)
+    assert nodes[0] == pytest.approx(1.0, rel=1e-14)
+    assert weights[0] * special.gamma(1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gauss_rules_against_scipy():
     for n, a, b in ((4, 0.5, -0.3), (8, 2.0, 0.0), (12, 7.5, 1.25)):
-        rule = gauss_rule("jacobi", n, alpha=a, beta=b)
+        nodes, weights = gauss_jacobi(n, a, b)
         sx, sw = special.roots_jacobi(n, a, b)
-        assert np.allclose(rule.nodes, sx, rtol=1e-12, atol=1e-13)
-        assert np.allclose(rule.weights, sw, rtol=1e-11, atol=1e-14)
+        assert np.allclose(nodes, sx, rtol=1e-12, atol=1e-13)
+        assert np.allclose(weights * jacobi_mass(a, b), sw, rtol=1e-11, atol=1e-14)
     for n, a in ((4, 0.0), (9, 1.7), (13, 4.0)):
-        rule = gauss_rule("laguerre", n, alpha=a)
+        nodes, weights = gauss_laguerre(n, a)
         sx, sw = special.roots_genlaguerre(n, a)
-        assert np.allclose(rule.nodes, sx, rtol=1e-11, atol=1e-12)
-        assert np.allclose(rule.weights, sw, rtol=1e-10, atol=1e-14)
+        assert np.allclose(nodes, sx, rtol=1e-11, atol=1e-12)
+        assert np.allclose(weights * special.gamma(a + 1), sw, rtol=1e-10, atol=1e-14)
 
 
 def test_rule_moments_and_positivity():
-    # raw moments against Gamma/Beta closed forms, weights positive
+    # moments, scaled back by the closed-form mass, against Gamma/Beta
+    # closed forms; weights positive
     a, b, n = 1.5, 0.25, 9
-    rule = gauss_rule("jacobi", n, alpha=a, beta=b)
-    assert all(w > 0 for w in rule.weights)
+    nodes, weights = gauss_jacobi(n, a, b)
+    assert all(w > 0 for w in weights)
     mp.mp.dps = 40
+    mass = float(mp.mpf(2) ** (a + b + 1) * mp.beta(a + 1, b + 1))
     for k in range(2 * n):
-        moment = sum(w * x**k for x, w in zip(rule.nodes, rule.weights))
+        moment = mass * sum(w * x**k for x, w in zip(nodes, weights))
         # closed form by expanding x^k about x = -1, in high precision (the
         # alternating sum cancels badly in doubles)
         exact = mp.mpf(0)
@@ -71,27 +83,33 @@ def test_rule_moments_and_positivity():
             )
         assert moment == pytest.approx(float(exact), rel=1e-12, abs=1e-13)
     a, n = 2.5, 7
-    rule = gauss_rule("laguerre", n, alpha=a)
-    assert all(w > 0 for w in rule.weights)
+    nodes, weights = gauss_laguerre(n, a)
+    assert all(w > 0 for w in weights)
+    mass = special.gamma(a + 1)
     for k in range(2 * n):
-        moment = sum(w * x**k for x, w in zip(rule.nodes, rule.weights))
-        assert moment == pytest.approx(gamma_fn(a + k + 1), rel=1e-11)
+        moment = mass * sum(w * x**k for x, w in zip(nodes, weights))
+        assert moment == pytest.approx(special.gamma(a + k + 1), rel=1e-11)
 
 
 def test_gauss_rule_validity():
     with pytest.raises(ValidityError):
-        gauss_rule("jacobi", 3, alpha=-1.0, beta=0.0)
+        gauss_jacobi(3, -1.0, 0.0)
     with pytest.raises(ValidityError):
-        gauss_rule("laguerre", 3, alpha=-1.2)
+        gauss_laguerre(3, -1.2)
 
 
 def test_integrate_wpq_examples():
-    assert integrate_wpq(UniPoly.one(), 3.0, 0.0) == pytest.approx(0.5, rel=1e-13)
-    assert integrate_wpq(UniPoly.x(), 4.0, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-13)
+    # raw integrals 1/2 and 1/6 over the raw masses 1/2 and 1/3
+    assert WeightMPQ(3.0, 0.0).rule(0).integrate(UniPoly.one()) == pytest.approx(
+        mpq_moment(3.0, 0.0, 0), rel=1e-13
+    )
+    assert WeightMPQ(4.0, 0.0).rule(1).integrate(UniPoly.x()) == pytest.approx(
+        (1.0 / 6.0) / (1.0 / 3.0), rel=1e-13
+    )
     with pytest.raises(IntegrabilityError):
-        integrate_wpq(UniPoly((0.0, 0.0, 1.0)), 3.0, 0.0)
+        WeightMPQ(3.0, 0.0).rule(2)
     with pytest.raises(IntegrabilityError):
-        integrate_wpq(UniPoly.one(), 3.0, -1.0)
+        WeightMPQ(3.0, -1.0).rule(0)
 
 
 def test_integrate_wpq_beta_oracle():
@@ -102,22 +120,24 @@ def test_integrate_wpq_beta_oracle():
         j = int(rng.integers(0, 4))
         if p <= j + 1:
             continue
-        got = integrate_wpq(UniPoly((0.0,) * j + (1.0,)), p, q)
-        want = gamma_ratio([q + 1 + j, p - 1 - j], [p + q])
-        assert got == pytest.approx(want, rel=1e-12)
+        got = WeightMPQ(p, q).rule(j).integrate(monomial(j))
+        assert got == pytest.approx(mpq_moment(p, q, j), rel=1e-12)
 
 
 def test_integrate_wp_invexp_examples():
-    assert integrate_wp_invexp(UniPoly.one(), 3.0) == pytest.approx(1.0, rel=1e-13)
-    assert integrate_wp_invexp(UniPoly.x(), 4.0) == pytest.approx(1.0, rel=1e-13)
+    # normalized moment of t^j against t^-p exp(-1/t): Gamma(p-1-j) / Gamma(p-1)
+    assert WeightInvExp(3.0).rule(0).integrate(UniPoly.one()) == pytest.approx(1.0, rel=1e-13)
+    assert WeightInvExp(4.0).rule(1).integrate(UniPoly.x()) == pytest.approx(
+        special.gamma(2.0) / special.gamma(3.0), rel=1e-13
+    )
     with pytest.raises(IntegrabilityError):
-        integrate_wp_invexp(UniPoly((0.0, 0.0, 1.0)), 3.0)
+        WeightInvExp(3.0).rule(2)
     rng = np.random.default_rng(4)
     for _ in range(20):
         p = float(rng.uniform(5.0, 60.0))
         j = int(rng.integers(0, 4))
-        got = integrate_wp_invexp(UniPoly((0.0,) * j + (1.0,)), p)
-        assert got == pytest.approx(gamma_fn(p - 1 - j), rel=1e-12)
+        got = WeightInvExp(p).rule(j).integrate(monomial(j))
+        assert got == pytest.approx(special.gamma(p - 1 - j) / special.gamma(p - 1), rel=1e-12)
 
 
 def test_transform_exactness_under_order_doubling():
@@ -132,15 +152,16 @@ def test_transform_exactness_under_order_doubling():
 def test_kronecker_structure_with_shifts():
     # the shifted-parameter orthogonality that underlies the cone Gram:
     # <M_i^(P-2s, Q+2s) M_j^(P-2s, Q+2s) t^(2s)>_(w_PQ) = ratio * h_i * delta_ij
+    # ratio = c_(P,Q) / c_(P-2s,Q+2s), with c_(p,q) = 1 / B(q+1, p-1)
     p_eff, q_eff = 20.0, 1.0
+    weight = WeightMPQ(p_eff, q_eff)
     for s in (0, 1, 2):
         sub = MParams(p_eff - 2 * s, q_eff + 2 * s)
-        c = normalization_constants(MParams(p_eff, q_eff))
-        ratio = normalization_constants(MParams(p_eff, q_eff)) / normalization_constants(sub)
+        ratio = special.beta(sub.q + 1, sub.p - 1) / special.beta(q_eff + 1, p_eff - 1)
         for i in range(5 - s):
             for j in range(i + 1):
                 f = (coeffs_m(i, sub) * coeffs_m(j, sub)).shift_up(2 * s)
-                val = c * integrate_wpq(f, p_eff, q_eff)
+                val = weight.rule(f.degree).integrate(f)
                 if i == j:
                     want = ratio * norm_m(i, sub)
                     assert val == pytest.approx(want, rel=1e-11)
@@ -151,47 +172,67 @@ def test_kronecker_structure_with_shifts():
 
 def test_normalized_rules_have_unit_mass():
     for weight in (WeightMPQ(30.0, 0.0), WeightInvExp(25.0), WeightGammaExp(1.5)):
-        rule = weight.rule(8, normalized=True)
+        rule = weight.rule(8)
         assert rule.total_weight == pytest.approx(1.0, rel=1e-13)
         assert all(w > 0 for w in rule.weights)
 
 
 def test_large_parameter_rule_stays_finite():
-    rule = WeightMPQ(202.0, 0.0).rule(16, normalized=True)
+    rule = WeightMPQ(202.0, 0.0).rule(16)
     assert rule.total_weight == pytest.approx(1.0, rel=1e-12)
-    rule = WeightInvExp(300.0).rule(10, normalized=True)
+    rule = WeightInvExp(300.0).rule(10)
     assert rule.total_weight == pytest.approx(1.0, rel=1e-12)
+
+
+def ball_mass(d, mu):
+    """Raw mass pi^(d/2) Gamma(mu + 1/2) / Gamma(mu + (d+1)/2) of the ball weight."""
+    return math.pi ** (d / 2) * special.gamma(mu + 0.5) / special.gamma(mu + (d + 1) / 2)
 
 
 def test_integrate_ball_examples():
+    # each raw integral over the closed-form raw mass
     one = MultiPoly.const(1, 1.0)
-    assert integrate_ball(1, 0.5, one) == pytest.approx(2.0, rel=1e-13)
+    assert ball_rule(1, 0.5, 0).integrate(one) == pytest.approx(2.0 / ball_mass(1, 0.5), rel=1e-13)
     # d = 2: raw mass pi at mu = 1/2; 2 pi / 3 at mu = 1
     one2 = MultiPoly.const(2, 1.0)
-    assert integrate_ball(2, 0.5, one2) == pytest.approx(math.pi, rel=1e-12)
-    assert integrate_ball(2, 1.0, one2) == pytest.approx(2 * math.pi / 3, rel=1e-12)
+    assert ball_rule(2, 0.5, 0).integrate(one2) == pytest.approx(
+        math.pi / ball_mass(2, 0.5), rel=1e-12
+    )
+    assert ball_rule(2, 1.0, 0).integrate(one2) == pytest.approx(
+        2 * math.pi / 3 / ball_mass(2, 1.0), rel=1e-12
+    )
     # second moment on the d = 3 ball at mu = 1/2 (Lebesgue): 4 pi / 15
     x1sq = MultiPoly.var_x(3, 0) * MultiPoly.var_x(3, 0)
-    assert integrate_ball(3, 0.5, x1sq) == pytest.approx(4 * math.pi / 15, rel=1e-11)
+    assert ball_rule(3, 0.5, 2).integrate(x1sq) == pytest.approx(
+        4 * math.pi / 15 / ball_mass(3, 0.5), rel=1e-11
+    )
 
 
 def test_integrate_cone_example():
-    # d = 1, mu = 1/2: the weight is flat in x, so the raw integral is
-    # int 2t (1+t)^-4 dt = 2 B(2, 2) = 1/3 (elementary closed form; follows
-    # the separated radial factor t^(d + 2mu - 1) = t)
+    # d = 1, mu = 1/2: the weight is flat in x, so integrating x out leaves
+    # 2t (1+t)^-4 (the separated radial factor t^(d + 2mu - 1) = t): raw
+    # mass 2 B(2, 2) = 1/3, raw t-moment 2 B(3, 1) = 2/3
     one = MultiPoly.const(1, 1.0)
-    got = integrate_cone(1, 0.5, WeightMPQ(4.0, 0.0), one)
-    assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
-    # mu = 1 version, where the radial factor is t^2: int_B (1-y^2)^(1/2) dy
-    # times B(3, 1) = (pi/2) / 3
-    got = integrate_cone(1, 1.0, WeightMPQ(4.0, 0.0), one)
-    assert got == pytest.approx(math.pi / 6.0, rel=1e-12)
+    got = cone_rule(1, 0.5, WeightMPQ(4.0, 0.0), 0).integrate(one)
+    assert got == pytest.approx(1.0, rel=1e-12)
+    t = MultiPoly.var_t(1)
+    got = cone_rule(1, 0.5, WeightMPQ(4.0, 0.0), 1).integrate(t)
+    assert got == pytest.approx(special.beta(3, 1) / special.beta(2, 2), rel=1e-12)
+    # mu = 1 version, where the radial factor is t^2: raw mass
+    # int_B (1-y^2)^(1/2) dy times B(3, 1) = (pi/2) / 3
+    got = cone_rule(1, 1.0, WeightMPQ(4.0, 0.0), 0).integrate(one)
+    assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_integrate_surface_example():
+    # d = 2: the measure is 2 pi t^(d-1) t^-4 exp(-1/t) dt, raw mass
+    # 2 pi Gamma(2), raw t-moment 2 pi Gamma(1)
     one = MultiPoly.const(2, 1.0)
-    got = integrate_surface(2, WeightInvExp(4.0), one)
-    assert got == pytest.approx(2 * math.pi * gamma_fn(2.0), rel=1e-12)
+    got = surface_rule(2, WeightInvExp(4.0), 0).integrate(one)
+    assert got == pytest.approx(1.0, rel=1e-12)
+    t = MultiPoly.var_t(2)
+    got = surface_rule(2, WeightInvExp(4.0), 1).integrate(t)
+    assert got == pytest.approx(special.gamma(1.0) / special.gamma(2.0), rel=1e-12)
 
 
 def test_cone_rule_integrability_messages():

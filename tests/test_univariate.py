@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 
 from finitecone.errors import DegenerateParamError, ValidityError
-from finitecone.quadrature import integrate_wp_invexp, integrate_wpq
+from finitecone.quadrature import WeightInvExp, WeightMPQ
 from finitecone.unipoly import UniPoly
 from finitecone.univariate import (
     MParams,
@@ -33,7 +33,6 @@ from finitecone.univariate import (
     norm_laguerre,
     norm_m,
     norm_n,
-    normalization_constants,
     ode_residual_m,
     ode_residual_n,
 )
@@ -157,16 +156,14 @@ def test_norm_n_values_and_validity():
 
 def test_norms_against_quadrature_oracle():
     mp = MParams(16.0, 0.5)
-    c = normalization_constants(mp)
     for n in range(6):
         poly = coeffs_m(n, mp)
-        val = c * integrate_wpq(poly * poly, mp.p, mp.q)
+        val = WeightMPQ(mp.p, mp.q).rule(2 * n).integrate(poly * poly)
         assert val == pytest.approx(norm_m(n, mp), rel=1e-10)
     np_ = NParams(16.0)
-    cn = normalization_constants(np_)
     for n in range(6):
         poly = coeffs_n(n, np_)
-        val = cn * integrate_wp_invexp(poly * poly, np_.p)
+        val = WeightInvExp(np_.p).rule(2 * n).integrate(poly * poly)
         assert val == pytest.approx(norm_n(n, np_), rel=1e-10)
 
 
@@ -174,32 +171,17 @@ def test_quadrature_orthogonality_and_boundary():
     # off-diagonals vanish below 2N+1 < p; at p = 2N+1 the Gram integral of
     # the top member is rejected by the integrability predicate
     mp = MParams(13.0, 0.0)
-    c = normalization_constants(mp)
+    weight = WeightMPQ(mp.p, mp.q)
     polys = [coeffs_m(n, mp) for n in range(6)]
     for i in range(6):
         for j in range(i):
-            val = c * integrate_wpq(polys[i] * polys[j], mp.p, mp.q)
+            val = weight.rule(i + j).integrate(polys[i] * polys[j])
             assert abs(val) < 1e-11 * math.sqrt(norm_m(i, mp) * norm_m(j, mp))
     from finitecone.errors import IntegrabilityError
 
     top = polys[-1]
     with pytest.raises(IntegrabilityError):
-        integrate_wpq(top * top, 11.0, 0.0)  # p = 2N+1 exactly
-
-
-def test_normalization_constants():
-    assert normalization_constants(MParams(2.0, 0.0)) == pytest.approx(1.0, rel=1e-14)
-    assert normalization_constants(MParams(3.0, 0.0)) == pytest.approx(2.0, rel=1e-14)
-    # oracle: c is the reciprocal of the raw weight integral
-    assert normalization_constants(MParams(3.0, 0.0)) == pytest.approx(
-        1.0 / integrate_wpq(UniPoly.one(), 3.0, 0.0), rel=1e-12
-    )
-    assert normalization_constants(NParams(3.0)) == pytest.approx(1.0, rel=1e-14)
-    assert normalization_constants(NParams(3.0)) == pytest.approx(
-        1.0 / integrate_wp_invexp(UniPoly.one(), 3.0), rel=1e-12
-    )
-    with pytest.raises(ValidityError):
-        normalization_constants(MParams(0.9, 0.0))
+        WeightMPQ(11.0, 0.0).rule((top * top).degree)  # p = 2N+1 exactly
 
 
 def test_ode_residuals():

@@ -252,6 +252,17 @@ _MALFORMED = [
              "--point", "0.5,1.0"], "beta"),
     ("api", {"family": "cone-N", "d": "2", "mu": 0.5, "p": 30.0, "n_max": 2}, "d"),
     ("api", {"family": "surf-N", "d": 2.5, "p": 30.0, "n_max": 2}, "d"),
+    ("api", {"family": "cone-M", "d": 2, "p": 30.0, "q": 0.0, "n_max": 2, "convention": ["x"]},
+     "convention"),
+    ("api", {"family": "surf-N", "d": 2, "p": 30.0, "n_max": 2, "convention": "bogus"},
+     "convention"),
+    ("api", {"family": "uni-M", "p": 30.0, "q": 0.0, "n_max": 2, "convention": "bogus"},
+     "convention"),
+    ("api", {"family": "uni-M", "p": 30.0, "q": 0.0, "n_max": 2, "p_grid": [1e2, 1e2, 1e2]},
+     "p_grid"),
+    ("cli", ["verify", "--family", "uni-M", "-p", "30", "-q", "0", "-n", "2",
+             "--p-grid", "1e2,1e2,1e2"], "p_grid"),
+    ("api", ["family", "cone-M"], "descriptor"),
 ]
 
 
@@ -264,6 +275,21 @@ def test_malformed_descriptor_is_a_domain_error_naming_the_field(via, payload, f
     else:
         assert main(payload) == 2
         assert re.search(named, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": family, "d": 2, "p": p, "q": q, "n_max": 2}
+        for family in ("cone-M", "surf-M", "uni-M")
+        for p, q in ((1e300, 0.0), (30.0, 1e300))
+    ]
+    + [{"family": "cone-L", "d": 2, "mu": 1e300, "beta": 0.0, "n_max": 2}],
+)
+def test_huge_parameters_are_a_domain_error_naming_the_jacobi_parameters(desc):
+    for probe in (False, True):
+        with pytest.raises(DomainError, match=r"alpha = \S+, beta = \S+"):
+            run_suite("all", dict(desc, probe=probe))
 
 
 @pytest.mark.parametrize(
