@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import DomainError, UnsupportedDimension, ValidityError
 from .harmonics import harmonic_basis, surface_area
-from .polyalg import MultiPoly, OperatorSpec, apply_operator, homogenize
+from .polyalg import MultiPoly, homogenize
 from .scalars import gamma_ratio
 from .univariate import (
     coeffs_gegenbauer, coeffs_jacobi, eval_gegenbauer, eval_jacobi, norm_gegenbauer, norm_jacobi,
@@ -160,23 +160,3 @@ def ball_basis(d: int, mu: float, n: int, convention: str = "orthonormal") -> Ba
 def ball_dimension(d: int, n: int) -> int:
     """dim of the space of degree-n ball orthogonal polynomials."""
     return math.comb(n + d - 1, n)
-
-
-def ball_operator_spec(d: int, mu: float) -> OperatorSpec:
-    """Second-order operator whose eigenfunctions the ball basis is."""
-    return OperatorSpec.from_pseudo(
-        d,
-        [
-            (1.0, "laplace", 0),
-            (-1.0, "euler2", 0),
-            (-(2 * mu + d - 1), "euler", 0),
-        ],
-    )
-
-
-def ball_operator_residual(d: int, mu: float, element: BallElement) -> MultiPoly:
-    """Residual of the ball operator applied to a basis element minus its
-    eigenvalue -n(n + 2mu + d - 1); zero up to rounding."""
-    n = element.degree
-    op = ball_operator_spec(d, mu)
-    return apply_operator(op, element.poly) + element.poly.scale(n * (n + 2 * mu + d - 1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -22,6 +23,7 @@ from .ball import BallElement, ball_basis
 from .errors import (
     DegenerateParamError,
     DomainError,
+    FiniteConeError,
     QNotZeroError,
     ValidityError,
 )
@@ -125,8 +127,8 @@ class ConeBasisElement:
 
     @cached_property
     def poly(self) -> MultiPoly:
-        """radial(t) * t^m P(x/t), multiplied out on first read; the Gram
-        and the dimension checks never read it."""
+        """radial(t) * t^m P(x/t), multiplied out on first read; no check
+        of the verifier reads it."""
         return MultiPoly.from_unipoly_t(self.radial, self.angular.dim_x) * self.angular
 
 
@@ -213,14 +215,7 @@ def solid_m_operator(d: int, mu: float, p: float) -> OperatorSpec:
 def operator_residual_m(params: ConeFamilyParams, element: ConeBasisElement) -> MultiPoly:
     """Residual of the q = 0 cone operator minus n(n - p + 2mu + d) times
     the element; coefficient-wise zero up to rounding."""
-    if params.family != "M":
-        raise DomainError("operator applies to the M family")
-    if params.q != 0:
-        raise QNotZeroError(
-            "the second-order operator has degree-only eigenvalues just for q = 0"
-        )
-    eig = element.n * (element.n - params.p + 2 * params.mu + params.d)
-    return apply_operator(params.operator, element.poly) - element.poly.scale(eig)
+    return _element_residual(params, element, "M", "operator applies to the M family")
 
 
 def diffdiff_operator(d: int, mu: float, p: float) -> OperatorSpec:
@@ -238,27 +233,116 @@ def diffdiff_operator(d: int, mu: float, p: float) -> OperatorSpec:
     )
 
 
-def companion_element_n(params: ConeFamilyParams, element: ConeBasisElement) -> MultiPoly:
-    """The shifted companion: same angular part, degree n-1, parameter p-2."""
-    shifted = params.companion
-    shifted.require_valid(element.n - 1)
-    radial = shifted.radial(element.n - 1, element.m)
-    return MultiPoly.from_unipoly_t(radial, params.d) * element.angular
-
-
 def diffdiff_residual_n(params: ConeFamilyParams, element: ConeBasisElement) -> MultiPoly:
     """Residual of the difference-differential identity for the second cone
-    family, including the parameter-shifted companion term."""
-    if params.family != "N":
-        raise DomainError("difference-differential identity applies to the N family")
-    n, m = element.n, element.m
+    family, including the parameter-shifted companion term: the same
+    angular factor times the degree-(n-1) radial factor at p - 2."""
+    return _element_residual(
+        params, element, "N", "difference-differential identity applies to the N family"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the operator identities, assembled per (n, m) block by the Leibniz rule
+# ---------------------------------------------------------------------------
+
+
+def _angular_block(op: OperatorSpec, angular):
+    """The images L_i A_k of the angular factors under op.t_split, then A_k
+    itself, as x[k, a, slot, g] with a indexing alphas, the x-exponents,
+    and g the total degree minus g0.  For a fixed x-exponent the total
+    degree fixes the t exponent, so a factor in t alone acts along g.
+    Each image is flattened into typed arrays as soon as it is computed."""
+    index, values = {}, array("d")
+    ks, rows, slots, degrees = array("q"), array("q"), array("q"), array("q")
+    for slot, li in enumerate(op.t_split + (None,)):
+        for k, a in enumerate(angular):
+            terms = (a if li is None else apply_operator(li, a)).terms
+            ks.extend([k] * len(terms))
+            slots.extend([slot] * len(terms))
+            rows.extend([index.setdefault(e[:-1], len(index)) for e in terms])
+            degrees.extend(map(sum, terms))
+            values.extend(terms.values())
+    ks, rows, slots, degrees = (np.frombuffer(c, dtype=np.int64) for c in (ks, rows, slots, degrees))
+    g0 = int(degrees.min())
+    x = np.zeros((len(angular), len(index), len(op.t_split) + 1, int(degrees.max()) - g0 + 1))
+    x[ks, rows, slots, degrees - g0] = np.frombuffer(values)
+    return x, list(index), g0
+
+
+def _block_residuals(params: ConeFamilyParams, m: int, ns, x) -> np.ndarray:
+    """sum_i R^(i) L_i A_k + s A_k for each n in ns as coefficients [k, a,
+    n, g], R the (n, m) radial factor: every product in t is one Toeplitz
+    matrix along g, so the whole block is one matrix product.  s is
+    -n(n - p + 2mu + d) R for M, that plus (n - m)(p - 2mu - m - n - d)
+    times the p - 2 companion for N, and n R for L; the M and L
+    eigenvalues hold at q = 0 and beta = 0 only."""
     d, mu, p = params.d, params.mu, params.p
-    lhs = apply_operator(params.operator, element.poly)
-    rhs = element.poly.scale(n * (n + 2 * mu + d - p))
-    if n > m:
-        comp = companion_element_n(params, element)
-        rhs = rhs - comp.scale((n - m) * (p - 2 * mu - m - n - d))
-    return lhs - rhs
+    if params.family == "M" and params.q != 0:
+        raise QNotZeroError("the second-order operator has degree-only eigenvalues just for q = 0")
+    if params.family == "L" and params.beta != 0.0:
+        raise DomainError("the degree-only eigenvalue holds at beta = 0")
+    k, n_alpha, slots, width = x.shape
+    length = ns[-1] - m + 1
+    rows = []
+    for n in ns:
+        factors = [params.radial(n, m)]
+        while len(factors) < slots - 1:
+            factors.append(factors[-1].derivative())
+        source = factors[0].scale(n if params.family == "L" else -n * (n - p + 2 * mu + d))
+        if params.family == "N" and n > m:
+            params.companion.require_valid(n - 1)
+            comp = params.companion.radial(n - 1, m)
+            source = source + comp.scale((n - m) * (p - 2 * mu - m - n - d))
+        rows.append([f.coeffs + (0.0,) * (length - len(f.coeffs)) for f in factors + [source]])
+    g, j = np.arange(width)[:, None], np.arange(length)
+    toeplitz = np.zeros((slots, width, len(ns), width + length - 1))
+    toeplitz[:, g, :, g + j] = np.transpose(rows, (2, 1, 0))
+    out = x.reshape(k * n_alpha, -1) @ toeplitz.reshape(slots * width, -1)
+    return out.reshape(k, n_alpha, len(ns), -1)
+
+
+def identity_residuals(params: ConeFamilyParams, n_max: int, convention: str = "orthonormal"):
+    """Yield (element, residual, carrier) per element of degree <= n_max, in
+    basis order: the largest coefficient of the family's identity residual
+    and max|R| max|A_k|, that of R A_k, whose coefficients are single
+    products.  R A_k is never multiplied out, and each m's block is freed
+    once its rows are computed.  A degree outside the window raises after
+    the rows of the degrees below it, as a loop over elements would."""
+    bases, error = [], None
+    try:
+        for n in range(n_max + 1):
+            bases.append(cone_basis(params, n, convention))
+    except FiniteConeError as exc:
+        error = exc
+    worst = {}
+    for m in range(len(bases)):
+        angular = [b.homogeneous for b in params.balls(m, convention)]
+        angular_max = [a.max_abs_coeff() for a in angular]
+        ns = range(m, len(bases))
+        residual = _block_residuals(params, m, ns, _angular_block(params.operator, angular)[0])
+        residual = np.abs(residual, out=residual).max(axis=(1, 3)).T.tolist()
+        for n, res in zip(ns, residual):
+            radial_max = params.radial(n, m).max_abs()
+            worst[n, m] = [(r, radial_max * a) for r, a in zip(res, angular_max)]
+    for el in (el for basis in bases for el in basis):
+        yield (el, *worst[el.n, el.m][el.k])
+    if error is not None:
+        raise error
+
+
+def _element_residual(params, element, family: str, wrong_family: str) -> MultiPoly:
+    """One element's identity residual: its (n, m) block on its own A_k."""
+    if params.family != family:
+        raise DomainError(wrong_family)
+    x, alphas, g0 = _angular_block(params.operator, [element.angular])
+    res = _block_residuals(params, element.m, [element.n], x)[0, :, 0].tolist()
+    return MultiPoly(params.d, {
+        alpha + (g,): c
+        for alpha, row in zip(alphas, res)
+        for g, c in enumerate(row, start=g0 - sum(alpha))
+        if c != 0.0
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +451,9 @@ def laguerre_operator(d: int, mu: float) -> OperatorSpec:
 
 
 def laguerre_pde_residual(params: ConeFamilyParams, element: ConeBasisElement) -> MultiPoly:
-    if params.family != "L" or params.beta != 0.0:
-        raise DomainError("the degree-only eigenvalue holds at beta = 0")
-    return apply_operator(params.operator, element.poly) + element.poly.scale(element.n)
+    """Residual of the beta = 0 Laguerre cone operator plus n times the
+    element; coefficient-wise zero up to rounding."""
+    return _element_residual(params, element, "L", "the degree-only eigenvalue holds at beta = 0")
 
 
 def _directions(d: int):
@@ -461,10 +545,8 @@ def laguerre_cone_checks(
     params = ConeFamilyParams(d, mu, "L", beta=beta, limit_target=limit_target)
     out = []
     if beta == 0.0:
-        for n in range(n_max + 1):
-            for el in cone_basis(params, n):
-                res = laguerre_pde_residual(params, el)
-                out.append((f"laguerre-pde/{el.label}", res.rel_residual_against(el.poly)))
+        for el, residual, carrier in identity_residuals(params, n_max):
+            out.append((f"laguerre-pde/{el.label}", residual / carrier))
     for m in range(n_max):
         for n in range(m + 1, n_max):
             out.append(

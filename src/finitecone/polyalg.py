@@ -10,6 +10,7 @@ operator is exact polynomial arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
@@ -18,9 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParityError
 from .unipoly import UniPoly
-
-VAR_T = "t"
-
 
 def _normalize(terms: dict) -> dict:
     return {e: c for e, c in terms.items() if c != 0.0}
@@ -101,25 +99,6 @@ class MultiPoly:
         if s == 0.0:
             return MultiPoly.zero(self.dim_x)
         return MultiPoly(self.dim_x, {e: s * c for e, c in self.terms.items()})
-
-    def _var_slot(self, var) -> int:
-        if var == VAR_T:
-            return self.dim_x
-        if isinstance(var, int) and 0 <= var < self.dim_x:
-            return var
-        raise DomainError(f"unknown variable {var!r} for dim_x = {self.dim_x}")
-
-    def partial(self, var) -> "MultiPoly":
-        """Exact formal derivative with respect to x_i (var = i) or t."""
-        slot = self._var_slot(var)
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[slot] == 0:
-                continue
-            ne = list(e)
-            ne[slot] -= 1
-            out[tuple(ne)] = out.get(tuple(ne), 0.0) + c * e[slot]
-        return MultiPoly(self.dim_x, _normalize(out))
 
     def evaluate(self, point) -> float:
         """Evaluate at a point (x_1..x_d, t)."""
@@ -283,6 +262,18 @@ class OperatorSpec:
             for coeff, deriv in self.terms
         )
 
+    @cached_property
+    def t_split(self) -> tuple:
+        """(L_0, L_1, ..): L(R A) = sum_i R^(i) L_i A for R in t alone, by the
+        Leibniz rule in t, with L_i = sum C(dt, i) coeff d_t^(dt-i) d_x^alpha;
+        L_0 is L itself."""
+        return (self,) + tuple(
+            OperatorSpec(self.dim_x, tuple(
+                (coeff.scale(math.comb(d[-1], i)), d[:-1] + (d[-1] - i,))
+                for coeff, d in self.terms if d[-1] >= i))
+            for i in range(1, 1 + max(d[-1] for _, d in self.terms))
+        )
+
 
 def _derivatives(items, steps) -> list:
     """(e, c * falling factorials) of the terms that survive the derivative
@@ -339,7 +330,3 @@ def euler_operator(dim_x: int) -> OperatorSpec:
     m in (x, t) jointly by m."""
     t = MultiPoly.var_t(dim_x)
     return OperatorSpec.from_pseudo(dim_x, [(t, "id", 1), (1.0, "euler", 0)])
-
-
-def laplacian_x(dim_x: int) -> OperatorSpec:
-    return OperatorSpec.from_pseudo(dim_x, [(1.0, "laplace", 0)])

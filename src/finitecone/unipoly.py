@@ -25,16 +25,8 @@ class UniPoly:
         object.__setattr__(self, "coeffs", _trim(tuple(float(c) for c in coeffs)))
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
     def one() -> "UniPoly":
         return UniPoly((1.0,))
-
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((0.0, 1.0))
 
     @property
     def degree(self) -> int:

@@ -481,12 +481,6 @@ def coeffs_laguerre(n: int, alpha: float) -> UniPoly:
     return cur
 
 
-def norm_laguerre(n: int, alpha: float) -> float:
-    if alpha <= -1:
-        raise ValidityError("alpha > -1", f"alpha = {alpha}")
-    return pochhammer(alpha + 1, n) / factorial_real(n)
-
-
 def _require_gegenbauer(m: int, mu: float) -> None:
     if mu <= -0.5:
         raise ValidityError("mu > -1/2", f"mu = {mu}")

@@ -13,7 +13,9 @@ docs/known-discrepancies.md in the repository.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -31,11 +33,9 @@ from .cone_solid import (
     cone_basis,
     cone_dimension,
     cone_gram,
-    diffdiff_residual_n,
+    identity_residuals,
     laguerre_cone_checks,
-    laguerre_pde_residual,
     limit_to_laguerre,
-    operator_residual_m,
     recurrence_residual,
 )
 from .cone_surface import (
@@ -313,7 +313,6 @@ class _Domain:
     dimension: object  # (d, n) -> number of degree-n elements
     basis: object  # (params, n, convention) -> the degree-n elements
     gram: object  # (params, n_max, convention) -> GramResult
-    carrier: object  # element -> what its residuals are relative to
     homogeneity: bool  # whether dims checks the angular factors' degree
 
 
@@ -321,14 +320,12 @@ SOLID = _Domain(
     "solid", "ball-sum", ball_dimension, cone_dimension,
     lambda params, n, convention: cone_basis(params, n, convention),
     lambda params, n_max, convention: cone_gram(params, n_max, convention),
-    lambda el: el.poly,
     True,
 )
 SURFACE = _Domain(
     "surface", "harmonic-sum", dim_harmonic, surface_dimension,
     lambda params, n, _convention: surface_basis(params, n),
     lambda params, n_max, _convention: surface_gram(params, n_max),
-    lambda el: el.g,
     False,
 )
 
@@ -378,17 +375,33 @@ def _gram_rows(col: _Collector, res, th, identity):
     col.add("gram/diag-rel-max", identity, res.max_diag_rel, th["gram_diag_rel"])
 
 
+@contextlib.contextmanager
+def _finite(params):
+    """Turn a floating-point overflow, or an invalid operation on one, into
+    a DomainError naming the largest of p, q, beta and mu: the windows
+    admit parameters too large for the rules and the Gram to carry in
+    double precision."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        key = max(("p", "q", "beta", "mu"), key=lambda k: abs(getattr(params, k, None) or 0.0))
+        value = getattr(params, key)
+        raise DomainError(f"{key} = {value} is too large for double precision ({exc})") from exc
+
+
 def _uni_gram(weight, evaluate, norm, spec: ParsedDescriptor, col: _Collector, th, identity):
     """The one-factor Gram R W R^T, with the degrees as elements and R the
     recurrence values at the nodes."""
     params, degrees = spec.params, range(spec.n_max + 1)
     params.require_valid(spec.n_max)
-    rule = weight(params).rule(2 * spec.n_max)
-    ts = np.asarray(rule.nodes)
-    factor = (np.asarray(rule.weights), lambda n: n, lambda n: evaluate(n, params, ts))
-    res = separable_gram(
-        degrees, [factor], [norm(n, params) for n in degrees], abs(rule.total_weight - 1.0)
-    )
+    with _finite(params):
+        rule = weight(params).rule(2 * spec.n_max)
+        ts = np.asarray(rule.nodes)
+        factor = (np.asarray(rule.weights), lambda n: n, lambda n: evaluate(n, params, ts))
+        res = separable_gram(
+            degrees, [factor], [norm(n, params) for n in degrees], abs(rule.total_weight - 1.0)
+        )
     _gram_rows(col, res, th, identity)
 
 
@@ -410,7 +423,8 @@ def _diag_rows(col: _Collector, res, th):
 
 
 def _gram(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
-    res = dom.gram(spec.params, spec.n_max, spec.convention)
+    with _finite(spec.params):
+        res = dom.gram(spec.params, spec.n_max, spec.convention)
     _gram_rows(col, res, th, identity)
     _diag_rows(col, res, th)
 
@@ -426,19 +440,28 @@ def _uni_ode(residual, build, spec: ParsedDescriptor, col: _Collector, th, ident
         )
 
 
-def _elements(dom: _Domain, prefix, residual, detail, spec: ParsedDescriptor, col, th, identity):
+def _elements(rows, prefix, detail, spec: ParsedDescriptor, col, th, identity):
     """The residual of the family's operator identity on every element of
-    degree <= n_max, relative to the element; detail(params, el) or None
-    fills the detail column."""
+    degree <= n_max, relative to the element: rows(spec) yields (element,
+    residual, carrier) degree by degree; detail(params, el) or None fills
+    the detail column."""
+    for el, residual, carrier in rows(spec):
+        col.add(
+            f"{prefix}/{el.label}", identity, residual / carrier, th["residual_rel"],
+            detail=detail(spec.params, el) if detail else "",
+        )
+
+
+def _solid_rows(spec: ParsedDescriptor):
+    return identity_residuals(spec.params, spec.n_max, spec.convention)
+
+
+def _surface_rows(residual, spec: ParsedDescriptor):
+    """residual(params, el) on every element, carried by its univariate g."""
     params = spec.params
     for n in range(spec.n_max + 1):
-        for el in dom.basis(params, n, spec.convention):
-            res = residual(params, el)
-            col.add(
-                f"{prefix}/{el.label}", identity,
-                res.rel_residual_against(dom.carrier(el)), th["residual_rel"],
-                detail=detail(params, el) if detail else "",
-            )
+        for el in surface_basis(params, n):
+            yield el, residual(params, el).max_abs(), el.g.max_abs()
 
 
 def _solid_m_eigenvalue(params, el) -> str:
@@ -616,7 +639,7 @@ _TABLE = {
     "cone-M": _shared(
         SOLID,
         ode=_Row("ode", "solid-first-family-pde",
-                 lambda *a: _elements(SOLID, "ode", operator_residual_m, _solid_m_eigenvalue, *a),
+                 lambda *a: _elements(_solid_rows, "ode", _solid_m_eigenvalue, *a),
                  _holds_at("q", 0.0, "degree-only eigenvalues require q = 0")),
         recurrence=_Row("recurrence", "solid-three-term-recurrence",
                         lambda *a: _cone_recurrence(True, *a)),
@@ -626,14 +649,14 @@ _TABLE = {
     "cone-N": _shared(
         SOLID,
         diffdiff=_Row("diffdiff", "solid-second-family-difference-differential",
-                      lambda *a: _elements(SOLID, "diffdiff", diffdiff_residual_n, None, *a)),
+                      lambda *a: _elements(_solid_rows, "diffdiff", None, *a)),
         recurrence=_Row("recurrence", "solid-three-term-recurrence",
                         lambda *a: _cone_recurrence(False, *a)),
     ),
     "cone-L": _shared(
         SOLID,
         ode=_Row("ode", "laguerre-cone-pde",
-                 lambda *a: _elements(SOLID, "ode/laguerre-pde", laguerre_pde_residual, None, *a),
+                 lambda *a: _elements(_solid_rows, "ode/laguerre-pde", None, *a),
                  _holds_at("beta", 0.0, "the degree-only eigenvalue requires beta = 0")),
         recurrence=_Row("recurrence", "solid-three-term-recurrence",
                         lambda *a: _cone_recurrence(False, *a)),
@@ -641,8 +664,8 @@ _TABLE = {
     "surf-M": _shared(
         SURFACE,
         ode=_Row("ode", "surface-first-family-ode",
-                 lambda *a: _elements(
-                     SURFACE, "ode", surface_ode_residual_m, _surface_m_eigenvalue, *a),
+                 lambda *a: _elements(functools.partial(_surface_rows, surface_ode_residual_m),
+                                      "ode", _surface_m_eigenvalue, *a),
                  _holds_at("q", -1.0, "degree-only eigenvalues require q = -1", surface=True)),
         limit=_Row("limit", "laguerre-limit",
                    lambda *a: _limit(surface_limit_m, _surface_limit_target, *a),
@@ -652,7 +675,8 @@ _TABLE = {
         SURFACE,
         diffdiff=_Row("diffdiff", "surface-second-family-difference-differential",
                       lambda *a: _elements(
-                          SURFACE, "diffdiff", surface_diffdiff_residual_n, None, *a),
+                          functools.partial(_surface_rows, surface_diffdiff_residual_n),
+                          "diffdiff", None, *a),
                       _surface_identity),
     ),
     "surf-L": _shared(

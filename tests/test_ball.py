@@ -11,12 +11,12 @@ from finitecone.ball import (
     ball_basis,
     ball_dimension,
     ball_normalization,
-    ball_operator_residual,
 )
 from finitecone.errors import DegenerateParamError, DomainError, UnsupportedDimension, ValidityError
 from finitecone.polyalg import MultiPoly
 from finitecone.quadrature import ball_rule
 from finitecone.univariate import coeffs_gegenbauer
+from oracles import ball_operator_residual
 
 
 def test_normalization_values():

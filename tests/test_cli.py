@@ -234,6 +234,23 @@ def test_huge_parameter_exits_2_naming_the_jacobi_parameters(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("--family", "uni-N", "-p", "1e300"), "p = 1e+300"),
+        (("--family", "cone-N", "-d", "2", "-p", "1e300"), "p = 1e+300"),
+        (("--family", "cone-L", "-d", "2", "--beta", "1e300"), "beta = 1e+300"),
+        (("--family", "surf-L", "-d", "2", "--beta", "1e300"), "beta = 1e+300"),
+        (("--family", "cone-L", "-d", "2", "--mu", "1e150", "--beta", "0"), "mu = 1e+150"),
+    ],
+)
+def test_huge_parameter_outside_the_jacobi_rules_exits_2_naming_it(capsys, argv, named):
+    code, _, err = run_cli(capsys, "verify", *argv, "-n", "2")
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_unknown_threshold(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--family", "uni-N", "-p", "20", "-n", "2",

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitecone.cone_solid import (
     ConeFamilyParams,
@@ -16,6 +18,7 @@ from finitecone.cone_solid import (
     cone_sample_grid,
     diffdiff_residual_n,
     expected_sq_norm,
+    identity_residuals,
     laguerre_cone_checks,
     laguerre_pde_residual,
     limit_to_laguerre,
@@ -31,6 +34,7 @@ from finitecone.errors import (
 )
 from finitecone.polyalg import MultiPoly, apply_operator
 from finitecone.quadrature import cone_rule
+from oracles import element_residual
 
 
 def mp(d=1, mu=0.5, p=30.0, q=0.0):
@@ -196,6 +200,44 @@ def test_diffdiff_residual_n():
             for el in cone_basis(params, n):
                 res = diffdiff_residual_n(params, el)
                 assert res.rel_residual_against(el.poly) < 1e-9
+
+
+_VIEWS = {"M": operator_residual_m, "N": diffdiff_residual_n, "L": laguerre_pde_residual}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from("MNL"),
+    st.sampled_from(
+        [(1, "orthonormal"), (1, "paper-gegenbauer"), (2, "orthonormal"), (3, "orthonormal")]
+    ),
+    st.integers(0, 5),
+    st.floats(-0.45, 2.5).filter(lambda mu: abs(mu) >= 0.05),
+    st.floats(0.05, 60.0),
+)
+def test_block_residuals_agree_with_the_per_element_oracle(family, dc, n_max, mu, margin):
+    # the (n, m) blocks against apply_operator on the multiplied-out element,
+    # at q = 0 (M) and beta = 0 (L), where the identities hold.  Both sides
+    # round at the size of the terms that cancel, the image L(R A), which
+    # is about |eigenvalue| times the element (up to 1.4e-13 of the element
+    # for the oracle alone), so the bound is relative to that image
+    d, convention = dc
+    params = ConeFamilyParams(
+        d, mu, family,
+        p=None if family == "L" else 2 * n_max + 2 * mu + d + margin,
+        q=0.0 if family == "M" else None,
+        beta=0.0 if family == "L" else None,
+    )
+    view = _VIEWS[family]
+    for el, residual, carrier in identity_residuals(params, n_max, convention):
+        assert carrier == el.poly.max_abs_coeff()
+        want = element_residual(params, el)
+        got = view(params, el)
+        tol = 1e-14 * max(carrier, apply_operator(params.operator, el.poly).max_abs_coeff())
+        assert (got - want).max_abs_coeff() <= tol
+        assert abs(residual - want.max_abs_coeff()) <= tol
+        if el.n == 0:
+            assert got.is_zero() and residual == 0.0
 
 
 def test_recurrence_derived_vs_stated():

@@ -8,7 +8,8 @@ import pytest
 
 from finitecone.errors import UnsupportedDimension
 from finitecone.harmonics import dim_harmonic, harmonic_basis, sphere_rule, surface_area
-from finitecone.polyalg import apply_operator, euler_operator, homogenize, laplacian_x
+from finitecone.polyalg import apply_operator, euler_operator, homogenize
+from oracles import laplacian_x
 
 
 def test_dim_harmonic_values():

@@ -30,13 +30,13 @@ from finitecone.univariate import (
     laguerre_limit_error_m,
     norm_gegenbauer,
     norm_jacobi,
-    norm_laguerre,
     norm_m,
     norm_n,
     ode_residual_m,
     ode_residual_n,
 )
 from finitecone.verifier import convergence_fit
+from oracles import norm_laguerre
 
 
 def sample_m(n, p, q):
