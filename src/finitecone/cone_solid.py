@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -28,7 +27,7 @@ from .errors import (
     ValidityError,
 )
 from .gram import GramResult, separable_gram, sphere_factor, t_factor
-from .polyalg import MultiPoly, OperatorSpec, apply_operator
+from .polyalg import MultiPoly, OperatorSpec, apply_table, euler_operator, term_table
 from .quadrature import Shift, cone_factors, solid_shift
 from .scalars import factorial_real
 from .unipoly import UniPoly
@@ -247,27 +246,59 @@ def diffdiff_residual_n(params: ConeFamilyParams, element: ConeBasisElement) -> 
 # ---------------------------------------------------------------------------
 
 
-def _angular_block(op: OperatorSpec, angular):
-    """The images L_i A_k of the angular factors under op.t_split, then A_k
-    itself, as x[k, a, slot, g] with a indexing alphas, the x-exponents,
-    and g the total degree minus g0.  For a fixed x-exponent the total
-    degree fixes the t exponent, so a factor in t alone acts along g.
-    Each image is flattened into typed arrays as soon as it is computed."""
-    index, values = {}, array("d")
-    ks, rows, slots, degrees = array("q"), array("q"), array("q"), array("q")
-    for slot, li in enumerate(op.t_split + (None,)):
-        for k, a in enumerate(angular):
-            terms = (a if li is None else apply_operator(li, a)).terms
-            ks.extend([k] * len(terms))
-            slots.extend([slot] * len(terms))
-            rows.extend([index.setdefault(e[:-1], len(index)) for e in terms])
-            degrees.extend(map(sum, terms))
-            values.extend(terms.values())
-    ks, rows, slots, degrees = (np.frombuffer(c, dtype=np.int64) for c in (ks, rows, slots, degrees))
-    g0 = int(degrees.min())
-    x = np.zeros((len(angular), len(index), len(op.t_split) + 1, int(degrees.max()) - g0 + 1))
-    x[ks, rows, slots, degrees - g0] = np.frombuffer(values)
-    return x, list(index), g0
+def _angular_blocks(op: OperatorSpec, groups):
+    """Per group of angular factors (one m each), the images L_i A_k under
+    op.t_split, then A_k itself, as (x[k, a, slot, g], alphas, g0): a
+    indexes alphas, the x-exponents, and g the total degree minus g0.  For
+    a fixed x-exponent the total degree fixes the t exponent, so a factor
+    in t alone acts along g.  apply_table runs once per L_i over all
+    groups; a group's block is filled when it is asked for, and of the
+    tables only each term's place in its block is kept until then."""
+    ids, exps, coeffs = term_table([a for group in groups for a in group], op.dim_x)
+    tables = [apply_table(li, ids, exps, coeffs) for li in op.t_split] + [(ids, exps, coeffs)]
+    slots = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
+    ids, exps, coeffs = (np.concatenate(column) for column in zip(*tables))
+    del tables  # the concatenated columns replace them
+    order = np.argsort(ids, kind="stable")
+    ids, exps, coeffs, slots = ids[order], exps[order], coeffs[order], slots[order]
+    # per group its first factor, first term and first alpha; per term its group
+    first = np.cumsum([0] + [len(group) for group in groups])
+    rows = np.searchsorted(ids, first)
+    group = np.searchsorted(first, ids, side="right") - 1
+    digits = (int(exps.max(initial=0)) + 1) ** np.arange(op.dim_x + 1)
+    codes, alpha = np.unique(group * digits[-1] + exps[:, :-1] @ digits[:-1], return_inverse=True)
+    alpha0 = np.searchsorted(codes, np.arange(len(first)) * digits[-1])
+    degrees = exps.sum(axis=1)
+    g0 = np.minimum.reduceat(degrees, rows[:-1])
+    shapes = np.stack([np.diff(first), np.diff(alpha0), np.full(len(groups), len(op.t_split) + 1),
+                       np.maximum.reduceat(degrees, rows[:-1]) - g0 + 1], axis=1)
+    place = ((ids - first[group]) * shapes[group, 1] + alpha - alpha0[group]) * shapes[group, 2] + slots
+    place = place * shapes[group, 3] + degrees - g0[group]
+    alphas = codes[:, None] // digits[:-1] % digits[1]
+    # every cell holds one term, so bincount writes each coefficient to its place
+    return ((np.bincount(place[lo:hi], coeffs[lo:hi], shape.prod()).reshape(shape), alphas[a:b], int(g))
+            for lo, hi, shape, a, b, g in zip(rows, rows[1:], shapes, alpha0, alpha0[1:], g0))
+
+
+def homogeneity_residuals(params: ConeFamilyParams, n_max: int, convention: str = "orthonormal"):
+    """Per degree n <= n_max the largest relative Euler residual
+    max|E A - m A| / max|A| over the angular factors A of the degrees m <= n,
+    each in the floating-point order of apply_operator(E, A) - A.scale(m);
+    one apply_table call over all of them."""
+    angular = [b.homogeneous for m in range(n_max + 1) for b in params.balls(m, convention)]
+    ids, exps, coeffs = term_table(angular, params.d)
+    image = apply_table(euler_operator(params.d), ids, exps, coeffs)
+    # E keeps every exponent, and every term of A has total degree m; the id
+    # is the most significant digit of a term's code
+    digits = (int(exps.max()) + 1) ** np.arange(params.d + 2)
+    codes, key = np.unique(np.concatenate([image[1] @ digits[:-1] + image[0] * digits[-1],
+                                           exps @ digits[:-1] + ids * digits[-1]]), return_inverse=True)
+    residual = np.abs(np.bincount(key, np.concatenate([image[2], -1.0 * (exps.sum(axis=1) * coeffs)])))
+    factors = np.arange(len(angular))
+    rel = (np.maximum.reduceat(residual, np.searchsorted(codes, factors * digits[-1]))
+           / np.maximum.reduceat(np.abs(coeffs), np.searchsorted(ids, factors))).tolist()
+    ends = np.cumsum([len(params.balls(m, convention)) for m in range(n_max + 1)])
+    return [max([0.0, *rel[:end]]) for end in ends]
 
 
 def _block_residuals(params: ConeFamilyParams, m: int, ns, x) -> np.ndarray:
@@ -316,11 +347,11 @@ def identity_residuals(params: ConeFamilyParams, n_max: int, convention: str = "
     except FiniteConeError as exc:
         error = exc
     worst = {}
-    for m in range(len(bases)):
-        angular = [b.homogeneous for b in params.balls(m, convention)]
+    groups = [[b.homogeneous for b in params.balls(m, convention)] for m in range(len(bases))]
+    for m, (angular, (x, _, _)) in enumerate(zip(groups, _angular_blocks(params.operator, groups))):
         angular_max = [a.max_abs_coeff() for a in angular]
         ns = range(m, len(bases))
-        residual = _block_residuals(params, m, ns, _angular_block(params.operator, angular)[0])
+        residual = _block_residuals(params, m, ns, x)
         residual = np.abs(residual, out=residual).max(axis=(1, 3)).T.tolist()
         for n, res in zip(ns, residual):
             radial_max = params.radial(n, m).max_abs()
@@ -335,11 +366,11 @@ def _element_residual(params, element, family: str, wrong_family: str) -> MultiP
     """One element's identity residual: its (n, m) block on its own A_k."""
     if params.family != family:
         raise DomainError(wrong_family)
-    x, alphas, g0 = _angular_block(params.operator, [element.angular])
+    ((x, alphas, g0),) = _angular_blocks(params.operator, [[element.angular]])
     res = _block_residuals(params, element.m, [element.n], x)[0, :, 0].tolist()
     return MultiPoly(params.d, {
         alpha + (g,): c
-        for alpha, row in zip(alphas, res)
+        for alpha, row in zip(map(tuple, alphas.tolist()), res)
         for g, c in enumerate(row, start=g0 - sum(alpha))
         if c != 0.0
     })

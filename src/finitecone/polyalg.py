@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -248,19 +248,17 @@ class OperatorSpec:
 
     @cached_property
     def compiled(self) -> tuple:
-        """The terms as apply_operator walks them, compiled once: per
-        elementary term its nonzero (slot, order) derivative steps and its
-        coefficient monomials as (exponent shift f - deriv, coefficient)."""
-        return tuple(
-            (
-                tuple((slot, order) for slot, order in enumerate(deriv) if order),
-                tuple(
-                    (tuple(f_i - d_i for f_i, d_i in zip(f, deriv)), c)
-                    for f, c in coeff.terms.items()
-                ),
-            )
-            for coeff, deriv in self.terms
-        )
+        """The terms as apply_table reads them, compiled once: one entry per
+        (elementary term, coefficient monomial) pair, in term order, as the
+        arrays term index, exponent shift f - deriv and coefficient, and
+        the falling-factorial steps (slot, j, which pairs take k_slot - j)."""
+        pairs = [(i, deriv, tuple(map(sub, f, deriv)), c)
+                 for i, (coeff, deriv) in enumerate(self.terms) for f, c in coeff.terms.items()]
+        term, deriv, shift, cf = zip(*pairs) if pairs else ((), (), (), ())
+        steps = tuple((slot, j, np.array([[d[slot] > j] for d in deriv]))
+                      for slot in range(self.dim_x + 1) for j in range(max((d[slot] for d in deriv), default=0)))
+        return (np.array(term, dtype=np.int64), steps,
+                np.array(shift, dtype=np.int64).reshape(-1, self.dim_x + 1), np.array(cf, dtype=float))
 
     @cached_property
     def t_split(self) -> tuple:
@@ -275,54 +273,61 @@ class OperatorSpec:
         )
 
 
-def _derivatives(items, steps) -> list:
-    """(e, c * falling factorials) of the terms that survive the derivative
-    steps, in term order; the factorials multiply in one at a time, slot by
-    slot, as repeated partial() calls would."""
-    out = []
-    for e, c in items:
-        for slot, order in steps:
-            k = e[slot]
-            if k < order:
-                break
-            for j in range(order):
-                c = c * (k - j)
-        else:
-            out.append((e, c))
-    return out
+def term_table(polys, dim_x: int) -> tuple:
+    """The terms of polys as apply_table takes them: (ids, exps, coeffs),
+    polynomial i's terms under id i, in its dict order."""
+    ids = np.repeat(np.arange(len(polys)), [len(p.terms) for p in polys])
+    exps = np.array([e for p in polys for e in p.terms], dtype=np.int64).reshape(len(ids), dim_x + 1)
+    return ids, exps, np.fromiter((c for p in polys for c in p.terms.values()), float, len(ids))
+
+
+def apply_table(op: OperatorSpec, ids, exps, coeffs):
+    """Apply op to many polynomials at once, given as a term table: row r is
+    coeffs[r] times the monomial exps[r] of polynomial ids[r].  Returns the
+    images as such a table, sorted by id, exact zeros dropped.
+
+    Bit for bit the floating-point order of applying op to each polynomial
+    term by term: the falling factorials multiply in one at a time, slot by
+    slot; each elementary term's sum over its (coefficient monomial,
+    polynomial term) pairs is formed first (stage 1); the term sums join
+    the output in term order (stage 2).  np.bincount adds in input order."""
+    term, steps, shift, cf = op.compiled
+    if len(cf) * len(coeffs) > 2**16 and ids.min() < ids.max():
+        # the polynomials are independent: halving the table by id bounds
+        # the temporaries below
+        low = ids <= (ids.min() + ids.max()) // 2
+        return tuple(map(np.concatenate, zip(apply_table(op, ids[low], exps[low], coeffs[low]),
+                                             apply_table(op, ids[~low], exps[~low], coeffs[~low]))))
+    vals = np.repeat(coeffs[None, :], len(cf), axis=0)
+    for slot, j, takes in steps:
+        np.multiply(vals, exps[:, slot] - j, out=vals, where=takes)
+    vals *= cf[:, None]
+    # a falling factorial that does not survive its derivative is exactly 0
+    pair, row = np.nonzero(vals)
+    vals = vals[pair, row]
+    # a term's key: its exponents, then its id, as the digits of one integer
+    radix = int(exps.max(initial=0)) + int(shift.max(initial=0)) + 1
+    if (int(ids.max(initial=0)) + 1) * radix ** (op.dim_x + 1) >= 2**63:
+        raise DomainError("term table too large for int64 keys")
+    digits = radix ** np.arange(op.dim_x + 2)
+    keys, key = np.unique((exps @ digits[:-1] + ids * digits[-1])[row] + (shift @ digits[:-1])[pair],
+                          return_inverse=True)
+    # stage 1 into one row of term sums per elementary term, stage 2 down the rows
+    shape = (max(len(op.terms), 1), len(keys))
+    sums = np.bincount(term[pair] * len(keys) + key, vals, shape[0] * shape[1]).reshape(shape)
+    out = np.cumsum(sums, axis=0, out=sums)[-1]
+    (nonzero,) = np.nonzero(out)
+    keys = keys[nonzero]
+    return keys // digits[-1], keys[:, None] // digits[:-1] % radix, out[nonzero]
 
 
 def apply_operator(op: OperatorSpec, p: MultiPoly) -> MultiPoly:
-    """Apply the expanded linear differential operator; exact.
-
-    One pass over p per elementary term, in the floating-point order of
-    differentiating, multiplying by the coefficient and adding term by term:
-    each term's sum runs over (coefficient monomial, p monomial) pairs
-    before it joins the output, and exact zeros are dropped at the end."""
+    """Apply the expanded linear differential operator to one polynomial;
+    exact, in apply_table's floating-point order."""
     if op.dim_x != p.dim_x:
         raise DimensionMismatch(f"operator dim_x {op.dim_x} vs polynomial {p.dim_x}")
-    items = list(p.terms.items())
-    derived: dict = {}  # terms sharing a derivative multi-index share its table
-    out: dict = {}
-    for steps, monomials in op.compiled:
-        dq = derived.get(steps)
-        if dq is None:
-            dq = derived[steps] = _derivatives(items, steps) if steps else items
-        if len(monomials) == 1:
-            # one contribution per output monomial: the term sum is the product
-            ((shift, cf),) = monomials
-            for e, c in dq:
-                k = tuple(map(add, e, shift))
-                out[k] = out.get(k, 0.0) + cf * c
-            continue
-        term: dict = {}
-        for shift, cf in monomials:
-            for e, c in dq:
-                k = tuple(map(add, e, shift))
-                term[k] = term.get(k, 0.0) + cf * c
-        for k, c in term.items():
-            out[k] = out.get(k, 0.0) + c
-    return MultiPoly(p.dim_x, _normalize(out))
+    _, exps, coeffs = apply_table(op, *term_table([p], p.dim_x))
+    return MultiPoly(p.dim_x, dict(zip(map(tuple, exps.tolist()), coeffs.tolist())))
 
 
 def euler_operator(dim_x: int) -> OperatorSpec:

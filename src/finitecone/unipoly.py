@@ -24,6 +24,13 @@ class UniPoly:
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _trim(tuple(float(c) for c in coeffs)))
 
+    @classmethod
+    def _of(cls, coeffs) -> "UniPoly":
+        """From a tuple or list of floats, without __init__'s float() pass."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trim(coeffs))
+        return poly
+
     @staticmethod
     def one() -> "UniPoly":
         return UniPoly((1.0,))
@@ -49,7 +56,7 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return UniPoly._of(out)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + other.scale(-1.0)
@@ -61,19 +68,20 @@ class UniPoly:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._of(out)
 
     def scale(self, s: float) -> "UniPoly":
-        return UniPoly(tuple(s * c for c in self.coeffs))
+        s = float(s)
+        return UniPoly._of([s * c for c in self.coeffs])
 
     def shift_up(self, k: int = 1) -> "UniPoly":
         """Multiply by x^k."""
         if self.is_zero():
             return self
-        return UniPoly((0.0,) * k + self.coeffs)
+        return UniPoly._of((0.0,) * k + self.coeffs)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return UniPoly._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)

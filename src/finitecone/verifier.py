@@ -33,6 +33,7 @@ from .cone_solid import (
     cone_basis,
     cone_dimension,
     cone_gram,
+    homogeneity_residuals,
     identity_residuals,
     laguerre_cone_checks,
     limit_to_laguerre,
@@ -57,7 +58,6 @@ from .errors import (
 )
 from .gram import separable_gram
 from .harmonics import dim_harmonic, harmonic_basis
-from .polyalg import apply_operator, euler_operator
 from .quadrature import WeightInvExp, WeightMPQ
 from .univariate import (
     MParams,
@@ -341,8 +341,7 @@ def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
             float(abs(got - dim_harmonic(d, m))),
             0.0,
         )
-    euler = euler_operator(d) if dom.homogeneity else None
-    homogeneity = []  # Euler residual of each angular factor, m then k
+    worst = None  # per degree, the largest Euler residual of the angular factors up to it
     for n in range(n_max + 1):
         elems = dom.basis(params, n, spec.convention)
         col.add(
@@ -359,14 +358,9 @@ def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
             0.0,
         )
         if dom.homogeneity:
-            # degree n adds the angular factors of degree m = n
-            angular = [b.homogeneous for b in params.balls(n, spec.convention)]
-            homogeneity.extend(
-                (apply_operator(euler, ang) - ang.scale(n)).rel_residual_against(ang)
-                for ang in angular
-            )
-            worst = max([0.0, *homogeneity])
-            col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst, th["residual_rel"])
+            if worst is None:  # after the degree-0 basis passed its window check
+                worst = homogeneity_residuals(params, n_max, spec.convention)
+            col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst[n], th["residual_rel"])
 
 
 def _gram_rows(col: _Collector, res, th, identity):

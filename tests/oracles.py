@@ -5,6 +5,8 @@ algorithm a library function replaces, or a closed form only the tests
 read.
 """
 
+import numpy as np
+
 from finitecone.errors import ValidityError
 from finitecone.polyalg import MultiPoly, OperatorSpec, apply_operator
 from finitecone.scalars import factorial_real, pochhammer
@@ -42,6 +44,25 @@ def apply_operator_termwise(op, p):
         if not q.is_zero():
             out = out + coeff * q
     return out
+
+
+def angular_block(op, angular):
+    """One m's block the way it was built before the batched kernel: each
+    L_i of op.t_split applied to each angular factor A_k on its own, then
+    A_k itself, as x[k, a, slot, g] over the sorted alphas (x-exponents),
+    with g the total degree minus g0.  Returns (x, alphas, g0)."""
+    cells = {}
+    for slot, li in enumerate(op.t_split + (None,)):
+        for k, a in enumerate(angular):
+            image = a if li is None else apply_operator_termwise(li, a)
+            for e, c in image.terms.items():
+                cells[k, e[:-1], slot, sum(e)] = c
+    alphas = sorted({alpha for _, alpha, _, _ in cells})
+    g0 = min(g for *_, g in cells)
+    x = np.zeros((len(angular), len(alphas), len(op.t_split) + 1, max(g for *_, g in cells) - g0 + 1))
+    for (k, alpha, slot, g), c in cells.items():
+        x[k, alphas.index(alpha), slot, g - g0] = c
+    return x, alphas, g0
 
 
 def element_residual(params, element):

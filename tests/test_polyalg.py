@@ -5,17 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitecone.cone_solid import diffdiff_operator, laguerre_operator, solid_m_operator
+from finitecone.cone_solid import (
+    ConeFamilyParams,
+    _angular_blocks,
+    diffdiff_operator,
+    laguerre_operator,
+    solid_m_operator,
+)
 from finitecone.errors import DimensionMismatch, DomainError, ParityError
 from finitecone.polyalg import (
     MultiPoly,
     OperatorSpec,
     apply_operator,
+    apply_table,
     euler_operator,
     homogenize,
+    term_table,
 )
 from finitecone.unipoly import UniPoly
-from oracles import VAR_T, apply_operator_termwise, ball_operator_spec, laplacian_x, partial
+from oracles import (
+    VAR_T,
+    angular_block,
+    apply_operator_termwise,
+    ball_operator_spec,
+    laplacian_x,
+    partial,
+)
 
 
 def x(i=0, d=1):
@@ -251,3 +266,83 @@ def test_one_pass_kernel_matches_termwise_bit_for_bit(p, named_op, mu, p_param):
     want = apply_operator_termwise(op, p)
     assert got.terms.keys() == want.terms.keys()
     assert all(got.terms[e] == c for e, c in want.terms.items())
+
+
+# each family operator with its t_split members L_1, L_2, then the
+# operators that have no t-derivative part to split off
+_SPLIT_OPERATORS = (
+    ("solid_m_operator", lambda d, mu, p: solid_m_operator(d, mu, p).t_split),
+    ("diffdiff_operator", lambda d, mu, p: diffdiff_operator(d, mu, p).t_split),
+    ("laguerre_operator", lambda d, mu, p: laguerre_operator(d, mu).t_split),
+    ("euler_operator", lambda d, mu, p: (euler_operator(d),)),
+    ("ball_operator_spec", lambda d, mu, p: (ball_operator_spec(d, mu),)),
+)
+
+
+@st.composite
+def polynomial_batches(draw):
+    # one d per batch; each polynomial has its own degree, the zero
+    # polynomial included, so the ids of a batch see mixed sizes
+    d = draw(st.integers(1, 3))
+    coeffs = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False).filter(bool)
+    batch = []
+    for degree in draw(st.lists(st.integers(0, 9), min_size=1, max_size=6)):
+        exponents = st.tuples(*[st.integers(0, degree)] * (d + 1))
+        batch.append(MultiPoly(d, draw(st.dictionaries(exponents, coeffs, max_size=12))))
+    return batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    polynomial_batches(),
+    st.sampled_from(_SPLIT_OPERATORS),
+    st.floats(-0.45, 3.0),
+    st.floats(0.5, 80.0),
+)
+def test_batched_kernel_matches_termwise_per_polynomial(batch, named_op, mu, p_param):
+    # one apply_table call over the whole batch gives, for every
+    # polynomial, the term-by-term image: the same key set and == on
+    # every coefficient
+    _, build = named_op
+    d = batch[0].dim_x
+    for op in build(d, mu, p_param):
+        ids, exps, coeffs = apply_table(op, *term_table(batch, d))
+        for i, poly in enumerate(batch):
+            got = dict(zip(map(tuple, exps[ids == i].tolist()), coeffs[ids == i].tolist()))
+            want = apply_operator_termwise(op, poly).terms
+            assert got.keys() == want.keys()
+            assert all(got[e] == c for e, c in want.items())
+
+
+@pytest.mark.parametrize("family", "MNL")
+@pytest.mark.parametrize("d,convention", [(1, "orthonormal"), (1, "paper-gegenbauer"), (2, "orthonormal"), (3, "orthonormal")])
+def test_angular_blocks_equal_the_per_factor_reference(family, d, convention):
+    # every m's block from the one batched pass equals the block built
+    # factor by factor: the same array (alpha rows aligned), g0 and width
+    params = ConeFamilyParams(d, 0.7, family, p=40.0, q=0.0 if family == "M" else None,
+                              beta=0.0 if family == "L" else None)
+    groups = [[b.homogeneous for b in params.balls(m, convention)] for m in range(6)]
+    blocks = list(_angular_blocks(params.operator, groups))
+    assert len(blocks) == len(groups)
+    for angular, (x, alphas, g0) in zip(groups, blocks):
+        want, want_alphas, want_g0 = angular_block(params.operator, angular)
+        alphas = [tuple(a) for a in alphas.tolist()]
+        assert sorted(alphas) == want_alphas
+        assert g0 == want_g0 and x.shape[-1] == want.shape[-1]
+        assert np.array_equal(x, want[:, [want_alphas.index(a) for a in alphas]])
+
+
+def test_kernel_splits_a_large_table_by_id_without_changing_any_image():
+    # past 2**16 (coefficient monomial, term) pairs apply_table halves the
+    # table by id; every image still equals the polynomial's own one-pass
+    # image, and the ids stay in increasing order
+    params = ConeFamilyParams(3, 0.5, "M", p=60.0, q=0.0)
+    polys = [b.homogeneous for m in range(10) for b in params.balls(m)]
+    table = term_table(polys, 3)
+    for op in params.operator.t_split:
+        ids, exps, coeffs = apply_table(op, *table)
+        assert np.all(np.diff(ids) >= 0)
+        for i, poly in enumerate(polys):
+            got = dict(zip(map(tuple, exps[ids == i].tolist()), coeffs[ids == i].tolist()))
+            assert got == apply_operator(op, poly).terms
+    assert len(params.operator.compiled[3]) * len(table[0]) > 2**16
