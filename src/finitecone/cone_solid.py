@@ -27,7 +27,7 @@ from .errors import (
     ValidityError,
 )
 from .gram import GramResult, separable_gram, sphere_factor, t_factor
-from .polyalg import MultiPoly, OperatorSpec, apply_table, euler_operator, term_table
+from .polyalg import MultiPoly, OperatorSpec, apply_table, euler_operator, key_digits, term_table
 from .quadrature import Shift, cone_factors, solid_shift
 from .scalars import factorial_real
 from .unipoly import UniPoly
@@ -246,14 +246,30 @@ def diffdiff_residual_n(params: ConeFamilyParams, element: ConeBasisElement) -> 
 # ---------------------------------------------------------------------------
 
 
+_CHUNK_TERMS = 2**12  # angular terms per apply_table call, unless one m has more
+
+
 def _angular_blocks(op: OperatorSpec, groups):
     """Per group of angular factors (one m each), the images L_i A_k under
     op.t_split, then A_k itself, as (x[k, a, slot, g], alphas, g0): a
     indexes alphas, the x-exponents, and g the total degree minus g0.  For
     a fixed x-exponent the total degree fixes the t exponent, so a factor
-    in t alone acts along g.  apply_table runs once per L_i over all
-    groups; a group's block is filled when it is asked for, and of the
-    tables only each term's place in its block is kept until then."""
+    in t alone acts along g.  apply_table runs once per L_i over each chunk
+    of consecutive groups with at most _CHUNK_TERMS terms (or one group),
+    which bounds the tables held at once."""
+    ends = np.cumsum([0] + [sum(len(a.terms) for a in group) for group in groups])
+    lo = 0
+    while lo < len(groups):
+        # the groups that end within _CHUNK_TERMS terms of group lo's start, or lo alone
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CHUNK_TERMS, side="right")) - 1)
+        yield from _chunk_blocks(op, groups[lo:hi])
+        lo = hi
+
+
+def _chunk_blocks(op: OperatorSpec, groups):
+    """_angular_blocks on one chunk; a group's block is filled when it is
+    asked for, and of the tables only each term's place in its block is
+    kept until then."""
     ids, exps, coeffs = term_table([a for group in groups for a in group], op.dim_x)
     tables = [apply_table(li, ids, exps, coeffs) for li in op.t_split] + [(ids, exps, coeffs)]
     slots = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
@@ -265,7 +281,8 @@ def _angular_blocks(op: OperatorSpec, groups):
     first = np.cumsum([0] + [len(group) for group in groups])
     rows = np.searchsorted(ids, first)
     group = np.searchsorted(first, ids, side="right") - 1
-    digits = (int(exps.max(initial=0)) + 1) ** np.arange(op.dim_x + 1)
+    radix = int(exps.max(initial=0)) + 1
+    digits = key_digits(len(groups), radix, op.dim_x)
     codes, alpha = np.unique(group * digits[-1] + exps[:, :-1] @ digits[:-1], return_inverse=True)
     alpha0 = np.searchsorted(codes, np.arange(len(first)) * digits[-1])
     degrees = exps.sum(axis=1)
@@ -274,7 +291,7 @@ def _angular_blocks(op: OperatorSpec, groups):
                        np.maximum.reduceat(degrees, rows[:-1]) - g0 + 1], axis=1)
     place = ((ids - first[group]) * shapes[group, 1] + alpha - alpha0[group]) * shapes[group, 2] + slots
     place = place * shapes[group, 3] + degrees - g0[group]
-    alphas = codes[:, None] // digits[:-1] % digits[1]
+    alphas = codes[:, None] // digits[:-1] % radix
     # every cell holds one term, so bincount writes each coefficient to its place
     return ((np.bincount(place[lo:hi], coeffs[lo:hi], shape.prod()).reshape(shape), alphas[a:b], int(g))
             for lo, hi, shape, a, b, g in zip(rows, rows[1:], shapes, alpha0, alpha0[1:], g0))
@@ -283,22 +300,22 @@ def _angular_blocks(op: OperatorSpec, groups):
 def homogeneity_residuals(params: ConeFamilyParams, n_max: int, convention: str = "orthonormal"):
     """Per degree n <= n_max the largest relative Euler residual
     max|E A - m A| / max|A| over the angular factors A of the degrees m <= n,
-    each in the floating-point order of apply_operator(E, A) - A.scale(m);
-    one apply_table call over all of them."""
-    angular = [b.homogeneous for m in range(n_max + 1) for b in params.balls(m, convention)]
-    ids, exps, coeffs = term_table(angular, params.d)
+    bit for bit (apply_operator(E, A) - A.scale(m)).rel_residual_against(A).
+    One apply_table call gives every E A; the identity operator applied to
+    the table of E A followed by that of -m A adds each monomial's two parts
+    in that order."""
+    groups = [params.balls(m, convention) for m in range(n_max + 1)]
+    ids, exps, coeffs = term_table([b.homogeneous for group in groups for b in group], params.d)
+    m = np.repeat(np.arange(n_max + 1), [len(group) for group in groups])
     image = apply_table(euler_operator(params.d), ids, exps, coeffs)
-    # E keeps every exponent, and every term of A has total degree m; the id
-    # is the most significant digit of a term's code
-    digits = (int(exps.max()) + 1) ** np.arange(params.d + 2)
-    codes, key = np.unique(np.concatenate([image[1] @ digits[:-1] + image[0] * digits[-1],
-                                           exps @ digits[:-1] + ids * digits[-1]]), return_inverse=True)
-    residual = np.abs(np.bincount(key, np.concatenate([image[2], -1.0 * (exps.sum(axis=1) * coeffs)])))
-    factors = np.arange(len(angular))
-    rel = (np.maximum.reduceat(residual, np.searchsorted(codes, factors * digits[-1]))
-           / np.maximum.reduceat(np.abs(coeffs), np.searchsorted(ids, factors))).tolist()
-    ends = np.cumsum([len(params.balls(m, convention)) for m in range(n_max + 1)])
-    return [max([0.0, *rel[:end]]) for end in ends]
+    table = map(np.concatenate, zip(image, (ids, exps, -1.0 * (m[ids] * coeffs))))
+    residual_ids, _, residual = apply_table(OperatorSpec.from_pseudo(params.d, [(1.0, "id", 0)]), *table)
+    # per factor: the largest residual term (none: 0) and the largest term of A
+    worst, starts = np.zeros(len(m)), np.flatnonzero(np.diff(residual_ids, prepend=-1))
+    worst[residual_ids[starts]] = np.maximum.reduceat(np.abs(residual), starts)
+    rel = worst / np.maximum.reduceat(np.abs(coeffs), np.searchsorted(ids, np.arange(len(m))))
+    per_m = np.maximum.reduceat(rel, np.searchsorted(m, np.arange(n_max + 1)))
+    return np.maximum.accumulate(per_m).tolist()
 
 
 def _block_residuals(params: ConeFamilyParams, m: int, ns, x) -> np.ndarray:
@@ -348,10 +365,12 @@ def identity_residuals(params: ConeFamilyParams, n_max: int, convention: str = "
         error = exc
     worst = {}
     groups = [[b.homogeneous for b in params.balls(m, convention)] for m in range(len(bases))]
-    for m, (angular, (x, _, _)) in enumerate(zip(groups, _angular_blocks(params.operator, groups))):
+    blocks = _angular_blocks(params.operator, groups)
+    for m, angular in enumerate(groups):
         angular_max = [a.max_abs_coeff() for a in angular]
         ns = range(m, len(bases))
-        residual = _block_residuals(params, m, ns, x)
+        # no name holds the block, so it is freed before the next one is built
+        residual = _block_residuals(params, m, ns, next(blocks)[0])
         residual = np.abs(residual, out=residual).max(axis=(1, 3)).T.tolist()
         for n, res in zip(ns, residual):
             radial_max = params.radial(n, m).max_abs()

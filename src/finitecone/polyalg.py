@@ -281,6 +281,15 @@ def term_table(polys, dim_x: int) -> tuple:
     return ids, exps, np.fromiter((c for p in polys for c in p.terms.values()), float, len(ids))
 
 
+def key_digits(n_ids: int, radix: int, width: int) -> np.ndarray:
+    """The place values that pack a row of width exponents, each below
+    radix, and then an id below n_ids into one int64 key, so that keys sort
+    by id first; raises where such keys could overflow."""
+    if n_ids * radix**width >= 2**63:
+        raise DomainError("term table too large for int64 keys")
+    return radix ** np.arange(width + 1)
+
+
 def apply_table(op: OperatorSpec, ids, exps, coeffs):
     """Apply op to many polynomials at once, given as a term table: row r is
     coeffs[r] times the monomial exps[r] of polynomial ids[r].  Returns the
@@ -292,12 +301,6 @@ def apply_table(op: OperatorSpec, ids, exps, coeffs):
     polynomial term) pairs is formed first (stage 1); the term sums join
     the output in term order (stage 2).  np.bincount adds in input order."""
     term, steps, shift, cf = op.compiled
-    if len(cf) * len(coeffs) > 2**16 and ids.min() < ids.max():
-        # the polynomials are independent: halving the table by id bounds
-        # the temporaries below
-        low = ids <= (ids.min() + ids.max()) // 2
-        return tuple(map(np.concatenate, zip(apply_table(op, ids[low], exps[low], coeffs[low]),
-                                             apply_table(op, ids[~low], exps[~low], coeffs[~low]))))
     vals = np.repeat(coeffs[None, :], len(cf), axis=0)
     for slot, j, takes in steps:
         np.multiply(vals, exps[:, slot] - j, out=vals, where=takes)
@@ -305,11 +308,8 @@ def apply_table(op: OperatorSpec, ids, exps, coeffs):
     # a falling factorial that does not survive its derivative is exactly 0
     pair, row = np.nonzero(vals)
     vals = vals[pair, row]
-    # a term's key: its exponents, then its id, as the digits of one integer
     radix = int(exps.max(initial=0)) + int(shift.max(initial=0)) + 1
-    if (int(ids.max(initial=0)) + 1) * radix ** (op.dim_x + 1) >= 2**63:
-        raise DomainError("term table too large for int64 keys")
-    digits = radix ** np.arange(op.dim_x + 2)
+    digits = key_digits(int(ids.max(initial=0)) + 1, radix, op.dim_x + 1)
     keys, key = np.unique((exps @ digits[:-1] + ids * digits[-1])[row] + (shift @ digits[:-1])[pair],
                           return_inverse=True)
     # stage 1 into one row of term sums per elementary term, stage 2 down the rows

@@ -53,6 +53,7 @@ from .errors import (
     DegenerateDataError,
     DegenerateParamError,
     DomainError,
+    FiniteConeError,
     IntegrabilityError,
     ValidityError,
 )
@@ -341,13 +342,20 @@ def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
             float(abs(got - dim_harmonic(d, m))),
             0.0,
         )
-    worst = None  # per degree, the largest Euler residual of the angular factors up to it
-    for n in range(n_max + 1):
-        elems = dom.basis(params, n, spec.convention)
+    counts, error = [], None
+    try:
+        for n in range(n_max + 1):
+            counts.append(len(dom.basis(params, n, spec.convention)))
+    except FiniteConeError as exc:
+        error = exc
+    worst = None  # per degree that passed, the largest Euler residual of the angular factors up to it
+    if dom.homogeneity and counts:
+        worst = homogeneity_residuals(params, len(counts) - 1, spec.convention)
+    for n, count in enumerate(counts):
         col.add(
             f"dims/{dom.name}-count/n{n}",
             identity,
-            float(abs(len(elems) - dom.dimension(d, n))),
+            float(abs(count - dom.dimension(d, n))),
             0.0,
         )
         split = sum(dom.split_dimension(d, m) for m in range(n + 1))
@@ -357,10 +365,10 @@ def _dims(dom: _Domain, spec: ParsedDescriptor, col: _Collector, th, identity):
             float(abs(split - dom.dimension(d, n))),
             0.0,
         )
-        if dom.homogeneity:
-            if worst is None:  # after the degree-0 basis passed its window check
-                worst = homogeneity_residuals(params, n_max, spec.convention)
+        if worst:
             col.add(f"dims/homogeneity/n{n}", "homogeneity-euler", worst[n], th["residual_rel"])
+    if error is not None:
+        raise error
 
 
 def _gram_rows(col: _Collector, res, th, identity):

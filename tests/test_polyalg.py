@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitecone import cone_solid
 from finitecone.cone_solid import (
     ConeFamilyParams,
     _angular_blocks,
@@ -20,6 +21,7 @@ from finitecone.polyalg import (
     apply_table,
     euler_operator,
     homogenize,
+    key_digits,
     term_table,
 )
 from finitecone.unipoly import UniPoly
@@ -332,17 +334,21 @@ def test_angular_blocks_equal_the_per_factor_reference(family, d, convention):
         assert np.array_equal(x, want[:, [want_alphas.index(a) for a in alphas]])
 
 
-def test_kernel_splits_a_large_table_by_id_without_changing_any_image():
-    # past 2**16 (coefficient monomial, term) pairs apply_table halves the
-    # table by id; every image still equals the polynomial's own one-pass
-    # image, and the ids stay in increasing order
+def test_angular_blocks_in_small_chunks_equal_the_per_factor_reference(monkeypatch):
+    # with a 64-term chunk bound the degrees share chunks up to m = 3 and
+    # each m from 4 on, larger than the bound, is a chunk of its own; every
+    # block still equals the one built factor by factor
+    monkeypatch.setattr(cone_solid, "_CHUNK_TERMS", 64)
     params = ConeFamilyParams(3, 0.5, "M", p=60.0, q=0.0)
-    polys = [b.homogeneous for m in range(10) for b in params.balls(m)]
-    table = term_table(polys, 3)
-    for op in params.operator.t_split:
-        ids, exps, coeffs = apply_table(op, *table)
-        assert np.all(np.diff(ids) >= 0)
-        for i, poly in enumerate(polys):
-            got = dict(zip(map(tuple, exps[ids == i].tolist()), coeffs[ids == i].tolist()))
-            assert got == apply_operator(op, poly).terms
-    assert len(params.operator.compiled[3]) * len(table[0]) > 2**16
+    groups = [[b.homogeneous for b in params.balls(m)] for m in range(7)]
+    for angular, (x, alphas, g0) in zip(groups, cone_solid._angular_blocks(params.operator, groups)):
+        want, want_alphas, want_g0 = angular_block(params.operator, angular)
+        alphas = [tuple(a) for a in alphas.tolist()]
+        assert sorted(alphas) == want_alphas and g0 == want_g0
+        assert np.array_equal(x, want[:, [want_alphas.index(a) for a in alphas]])
+
+
+def test_term_keys_that_could_overflow_int64_are_a_domain_error():
+    assert key_digits(2, 10, 3).tolist() == [1, 10, 100, 1000]
+    with pytest.raises(DomainError, match="int64"):
+        key_digits(2**40, 2**8, 3)

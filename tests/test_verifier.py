@@ -11,7 +11,7 @@ from finitecone import ball, harmonics, univariate
 from finitecone.cli import main
 from finitecone.cone_solid import ConeFamilyParams, cone_basis, laguerre_cone_checks
 from finitecone.errors import DegenerateDataError, DomainError, FiniteConeError, ValidityError
-from finitecone.polyalg import OperatorSpec, euler_operator
+from finitecone.polyalg import MultiPoly, OperatorSpec, euler_operator
 from finitecone.verifier import (
     DEFAULT_THRESHOLDS,
     FAMILIES,
@@ -415,6 +415,41 @@ def test_dims_homogeneity_rows_match_a_per_element_oracle(desc):
             res = apply_operator_termwise(euler, el.angular) - el.angular.scale(el.m)
             worst = max(worst, res.rel_residual_against(el.angular))
         assert rows[f"dims/homogeneity/n{n}"] == worst
+
+
+def test_dims_homogeneity_rows_fail_on_a_term_of_the_wrong_degree(monkeypatch):
+    # every angular factor of degree 2 gains a t^3 term, which E A - 2 A
+    # keeps: the rows from n = 2 on fail, those below stay at rounding level
+    homogeneous = ball.BallElement.homogeneous.func
+
+    def skewed(el):
+        a = homogeneous(el)
+        return a + MultiPoly(a.dim_x, {(0,) * a.dim_x + (3,): 1.0}) if el.degree == 2 else a
+
+    monkeypatch.setattr(ball.BallElement, "homogeneous", property(skewed))
+    desc = {"family": "cone-M", "d": 2, "mu": 0.5, "p": 30.0, "q": 0.0, "n_max": 3}
+    checks = {c.name: c for c in run_suite("dims", desc).checks}
+    assert [checks[f"dims/homogeneity/n{n}"].verdict for n in range(4)] == ["pass", "pass", "fail", "fail"]
+    assert checks["dims/homogeneity/n2"].metric > 0.1
+
+
+def test_dims_builds_no_ball_basis_past_the_first_degree_outside_the_window(monkeypatch):
+    # p = 9.5 admits degrees up to 3 at d = 2, mu = 0.5: the probe records
+    # the window violation at n = 4 after the rows of n <= 3, and the Euler
+    # check reads only the ball bases those degrees built
+    built = []
+    basis = ConeFamilyParams.balls
+
+    def counted(self, m, convention="orthonormal"):
+        built.append(m)
+        return basis(self, m, convention)
+
+    monkeypatch.setattr(ConeFamilyParams, "balls", counted)
+    desc = {"family": "cone-M", "d": 2, "mu": 0.5, "p": 9.5, "q": 0.0, "n_max": 8, "probe": True}
+    checks = run_suite("dims", desc).checks
+    assert max(built) == 3
+    assert [(c.name, c.verdict) for c in checks[-2:]] == [
+        ("dims/homogeneity/n3", "pass"), ("dims/solid", "expected-failure")]
 
 
 def test_harmonics_are_built_once_per_d_and_m(monkeypatch):
