@@ -8,6 +8,7 @@ stays an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,12 +112,16 @@ def _compose_radial(coeffs, d: int) -> MultiPoly:
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def ball_basis(d: int, mu: float, n: int, convention: str = "orthonormal") -> BallBasis:
     """Orthogonal basis of the degree-n orthogonal polynomials on the ball.
 
     The orthonormal convention rescales every element by its closed-form
     norm; the paper-gegenbauer convention (d = 1 only) keeps the raw
     Gegenbauer polynomials and reports their norms instead.
+
+    Built once per process (the 256 most recent kept): callers read the
+    elements, whose poly and homogenization persist, and never modify them.
     """
     if d not in (1, 2, 3):
         raise UnsupportedDimension(f"d = {d}, supported: (1, 2, 3)")

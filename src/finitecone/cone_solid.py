@@ -48,9 +48,9 @@ class ConeFamilyParams(ShiftedRadial):
     built as the p -> inf limit of the M family at q = beta, whose
     identities hold on the M window q > -2*mu - d instead.
 
-    A bundle builds its operator, its p - 2 companion, each radial factor
-    and each angular basis once, on first use, and hands the same objects
-    to every later check.
+    A bundle builds its operator, its p - 2 companion, its radial factors
+    and its recurrence elements once, on first use, and hands the same
+    objects to every later check; ball_basis caches the angular bases.
     """
 
     d: int
@@ -82,16 +82,14 @@ class ConeFamilyParams(ShiftedRadial):
         return ConeFamilyParams(self.d, self.mu, "N", p=self.p - 2.0)
 
     @cached_property
-    def _balls(self) -> dict:
+    def products(self) -> dict:
+        """recurrence_residual's elements R_k A by (k, m, ball index)."""
         return {}
 
     def balls(self, m: int, convention: str = "orthonormal") -> tuple:
-        """The degree-m ball basis elements, built once per bundle; each
+        """The degree-m ball basis elements (cached per process); each
         multiplies out its poly and homogenization on first read."""
-        key = (m, convention)
-        if key not in self._balls:
-            self._balls[key] = ball_basis(self.d, self.mu, m, convention).elements
-        return self._balls[key]
+        return ball_basis(self.d, self.mu, m, convention).elements
 
     def require_valid(self, n: int) -> None:
         """Validity window for orthogonality up to degree n."""
@@ -121,7 +119,7 @@ class ConeBasisElement:
 
     @property
     def angular(self) -> MultiPoly:
-        """t^m P(x/t), built on first read and shared per bundle."""
+        """t^m P(x/t), built on first read and kept by the ball_basis cache."""
         return self.ball.homogeneous
 
     @cached_property
@@ -461,8 +459,10 @@ def recurrence_residual(
     d = params.d
 
     def elem(k: int) -> MultiPoly:
-        radial = params.radial(k, m, "rodrigues")
-        return MultiPoly.from_unipoly_t(radial, d) * ang
+        if (k, m, ball_index) not in params.products:
+            radial = params.radial(k, m, "rodrigues")
+            params.products[k, m, ball_index] = MultiPoly.from_unipoly_t(radial, d) * ang
+        return params.products[k, m, ball_index]
 
     e_prev, e_cur, e_next = elem(n - 1), elem(n), elem(n + 1)
     t = MultiPoly.var_t(d)

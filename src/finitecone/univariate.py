@@ -69,16 +69,14 @@ def largest_degree(p: float) -> int:
     return n
 
 
-def _check_chain(p: float, n: int) -> None:
-    # recurrence steps k = 1 .. n-1 divide by (p - (k+1)) and (p - 2k)
-    for k in range(1, n):
-        if p - (k + 1) == 0.0 or p - 2 * k == 0.0:
-            raise DegenerateParamError(
-                f"recurrence denominator vanishes at step {k}: p = {p}"
-            )
+def _check_step(p: float, k: int) -> None:
+    """Recurrence step k divides by (p - (k+1)) and (p - 2k)."""
+    if p - (k + 1) == 0.0 or p - 2 * k == 0.0:
+        raise DegenerateParamError(f"recurrence denominator vanishes at step {k}: p = {p}")
 
 
 def _m_step(p: float, q: float, k: int):
+    _check_step(p, k)
     a = (p - (2 * k + 1)) * (p - (2 * k + 2)) / (p - (k + 1))
     b = (p - (2 * k + 1)) * (2 * k * (k + 1) - p * (q + 2 * k + 1)) / (
         (p - (k + 1)) * (p - 2 * k)
@@ -88,6 +86,7 @@ def _m_step(p: float, q: float, k: int):
 
 
 def _n_step(p: float, k: int):
+    _check_step(p, k)
     a = (p - (2 * k + 2)) * (p - (2 * k + 1)) / (p - (k + 1))
     b = -p * (p - (2 * k + 1)) / ((p - (k + 1)) * (p - 2 * k))
     c = k * (p - (2 * k + 2)) / ((p - (k + 1)) * (p - 2 * k))
@@ -99,7 +98,6 @@ def eval_m(n: int, params: MParams, x: float) -> float:
     p, q = params.p, params.q
     if n == 0:
         return 1.0
-    _check_chain(p, n)
     prev, cur = 1.0, (p - 2) * x - (q + 1)
     for k in range(1, n):
         a, b, c = _m_step(p, q, k)
@@ -112,7 +110,6 @@ def eval_n(n: int, params: NParams, x: float) -> float:
     p = params.p
     if n == 0:
         return 1.0
-    _check_chain(p, n)
     prev, cur = 1.0, (p - 2) * x - 1.0
     for k in range(1, n):
         a, b, c = _n_step(p, k)
@@ -120,32 +117,53 @@ def eval_n(n: int, params: NParams, x: float) -> float:
     return cur
 
 
+class _Chain:
+    """The members P_0 = 1, P_1 = first, P_2, ... of a three-term recurrence,
+    P_(k+1) = step(k, P_(k-1), P_k), each computed once, on first request.
+    A step that raises (a vanishing denominator) adds no member, so it
+    raises again for every later degree."""
+
+    def __init__(self, first: UniPoly, step):
+        self.members, self.step = [UniPoly.one(), first], step
+
+    def __getitem__(self, n: int) -> UniPoly:
+        while len(self.members) <= n:
+            self.members.append(self.step(len(self.members) - 1, *self.members[-2:]))
+        return self.members[n]
+
+
+def _three_term(prev: UniPoly, cur: UniPoly, a: float, b: float, c: float) -> UniPoly:
+    """(a x + b) cur - c prev, the step of the two finite classes."""
+    return cur.shift_up().scale(a) + cur.scale(b) - prev.scale(c)
+
+
+def _m_chain(params: MParams) -> _Chain:
+    p, q = params.p, params.q
+    return _Chain(UniPoly((-(q + 1.0), p - 2.0)),
+                  lambda k, prev, cur: _three_term(prev, cur, *_m_step(p, q, k)))
+
+
+def _n_chain(params: NParams) -> _Chain:
+    p = params.p
+    return _Chain(UniPoly((-1.0, p - 2.0)),
+                  lambda k, prev, cur: _three_term(prev, cur, *_n_step(p, k)))
+
+
+def _laguerre_chain(alpha: float) -> _Chain:
+    if alpha <= -1:
+        raise ValidityError("alpha > -1", f"alpha = {alpha}")
+    return _Chain(UniPoly((alpha + 1.0, -1.0)), lambda k, prev, cur: (
+        cur.scale(2 * k + alpha + 1) - cur.shift_up() - prev.scale(k + alpha)).scale(1.0 / (k + 1)))
+
+
 def coeffs_m(n: int, params: MParams) -> UniPoly:
     """Coefficient vector of the first-class polynomial (recurrence path)."""
-    p, q = params.p, params.q
-    if n == 0:
-        return UniPoly.one()
-    _check_chain(p, n)
-    prev, cur = UniPoly.one(), UniPoly((-(q + 1.0), p - 2.0))
-    for k in range(1, n):
-        a, b, c = _m_step(p, q, k)
-        nxt = cur.shift_up().scale(a) + cur.scale(b) - prev.scale(c)
-        prev, cur = cur, nxt
-    return cur
+    return _m_chain(params)[n]
 
 
 def coeffs_n(n: int, params: NParams) -> UniPoly:
     """Coefficient vector of the second-class polynomial (recurrence path)."""
-    p = params.p
-    if n == 0:
-        return UniPoly.one()
-    _check_chain(p, n)
-    prev, cur = UniPoly.one(), UniPoly((-1.0, p - 2.0))
-    for k in range(1, n):
-        a, b, c = _n_step(p, k)
-        nxt = cur.shift_up().scale(a) + cur.scale(b) - prev.scale(c)
-        prev, cur = cur, nxt
-    return cur
+    return _n_chain(params)[n]
 
 
 def coeffs_m_rodrigues(n: int, params: MParams) -> UniPoly:
@@ -350,24 +368,27 @@ class ShiftedRadial:
         return self.beta + c + 2 * m
 
     @cached_property
-    def _radials(self) -> dict:
+    def _chains(self) -> dict:
+        return {}
+
+    @cached_property
+    def _rodrigues(self) -> dict:
         return {}
 
     def radial(self, n: int, m: int, source: str = "recurrence") -> UniPoly:
         """Radial factor of the degree-n element of angular degree m, by the
         recurrence or, for M and N, by the Rodrigues oracle (source
-        "rodrigues"; the L family has only the recurrence).  A bundle builds
-        each once and hands it to every later caller."""
-        rodrigues = source == "rodrigues" and self.family != "L"
-        key = (n, m, rodrigues)
-        if key not in self._radials:
-            build = {
-                "M": coeffs_m_rodrigues if rodrigues else coeffs_m,
-                "N": coeffs_n_rodrigues if rodrigues else coeffs_n,
-                "L": coeffs_laguerre,
-            }[self.family]
-            self._radials[key] = build(n - m, self._shifted(m))
-        return self._radials[key]
+        "rodrigues"; the L family has only the recurrence).  A bundle runs
+        one chain per m and builds each Rodrigues factor once."""
+        if source == "rodrigues" and self.family != "L":
+            if (n, m) not in self._rodrigues:
+                build = coeffs_m_rodrigues if self.family == "M" else coeffs_n_rodrigues
+                self._rodrigues[n, m] = build(n - m, self._shifted(m))
+            return self._rodrigues[n, m]
+        if m not in self._chains:
+            chain = {"M": _m_chain, "N": _n_chain, "L": _laguerre_chain}[self.family]
+            self._chains[m] = chain(self._shifted(m))
+        return self._chains[m][n - m]
 
     def values(self, n: int, m: int, ts):
         """Radial factor at the points ts by the forward recurrence, which
@@ -468,17 +489,7 @@ def eval_laguerre(n: int, alpha: float, t: float) -> float:
 
 
 def coeffs_laguerre(n: int, alpha: float) -> UniPoly:
-    if alpha <= -1:
-        raise ValidityError("alpha > -1", f"alpha = {alpha}")
-    if n == 0:
-        return UniPoly.one()
-    prev, cur = UniPoly.one(), UniPoly((alpha + 1.0, -1.0))
-    for k in range(1, n):
-        nxt = (cur.scale(2 * k + alpha + 1) - cur.shift_up() - prev.scale(k + alpha)).scale(
-            1.0 / (k + 1)
-        )
-        prev, cur = cur, nxt
-    return cur
+    return _laguerre_chain(alpha)[n]
 
 
 def _require_gegenbauer(m: int, mu: float) -> None:

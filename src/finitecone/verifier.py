@@ -455,7 +455,8 @@ def _elements(rows, prefix, detail, spec: ParsedDescriptor, col, th, identity):
 
 
 def _solid_rows(spec: ParsedDescriptor):
-    return identity_residuals(spec.params, spec.n_max, spec.convention)
+    with _finite(spec.params):
+        yield from identity_residuals(spec.params, spec.n_max, spec.convention)
 
 
 def _surface_rows(residual, spec: ParsedDescriptor):
@@ -463,7 +464,9 @@ def _surface_rows(residual, spec: ParsedDescriptor):
     params = spec.params
     for n in range(spec.n_max + 1):
         for el in surface_basis(params, n):
-            yield el, residual(params, el).max_abs(), el.g.max_abs()
+            if el.l == 1:  # the harmonics of one (n, m) share g, so they share the row
+                row = residual(params, el).max_abs(), el.g.max_abs()
+            yield (el, *row)
 
 
 def _solid_m_eigenvalue(params, el) -> str:

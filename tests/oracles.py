@@ -7,9 +7,11 @@ read.
 
 import numpy as np
 
-from finitecone.errors import ValidityError
+from finitecone.errors import DegenerateParamError, ValidityError
 from finitecone.polyalg import MultiPoly, OperatorSpec, apply_operator
 from finitecone.scalars import factorial_real, pochhammer
+from finitecone.unipoly import UniPoly
+from finitecone.univariate import _m_step, _n_step
 
 VAR_T = "t"
 
@@ -112,3 +114,52 @@ def norm_laguerre(n: int, alpha: float) -> float:
         raise ValidityError("alpha > -1", f"alpha = {alpha}")
     return pochhammer(alpha + 1, n) / factorial_real(n)
 
+
+
+def _check_chain(p, n):
+    # recurrence steps k = 1 .. n-1 divide by (p - (k+1)) and (p - 2k)
+    for k in range(1, n):
+        if p - (k + 1) == 0.0 or p - 2 * k == 0.0:
+            raise DegenerateParamError(f"recurrence denominator vanishes at step {k}: p = {p}")
+
+
+def coeffs_m_loop(n, params):
+    """The first-class coefficients by the loop the recurrence chain
+    replaces: every denominator checked first, then run from degree 0."""
+    p, q = params.p, params.q
+    if n == 0:
+        return UniPoly.one()
+    _check_chain(p, n)
+    prev, cur = UniPoly.one(), UniPoly((-(q + 1.0), p - 2.0))
+    for k in range(1, n):
+        a, b, c = _m_step(p, q, k)
+        prev, cur = cur, cur.shift_up().scale(a) + cur.scale(b) - prev.scale(c)
+    return cur
+
+
+def coeffs_n_loop(n, params):
+    """The second-class coefficients by the loop the chain replaces."""
+    p = params.p
+    if n == 0:
+        return UniPoly.one()
+    _check_chain(p, n)
+    prev, cur = UniPoly.one(), UniPoly((-1.0, p - 2.0))
+    for k in range(1, n):
+        a, b, c = _n_step(p, k)
+        prev, cur = cur, cur.shift_up().scale(a) + cur.scale(b) - prev.scale(c)
+    return cur
+
+
+def coeffs_laguerre_loop(n, alpha):
+    """The Laguerre coefficients by the loop the chain replaces."""
+    if alpha <= -1:
+        raise ValidityError("alpha > -1", f"alpha = {alpha}")
+    if n == 0:
+        return UniPoly.one()
+    prev, cur = UniPoly.one(), UniPoly((alpha + 1.0, -1.0))
+    for k in range(1, n):
+        nxt = (cur.scale(2 * k + alpha + 1) - cur.shift_up() - prev.scale(k + alpha)).scale(
+            1.0 / (k + 1)
+        )
+        prev, cur = cur, nxt
+    return cur

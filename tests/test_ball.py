@@ -2,6 +2,7 @@
 and the d = 1 Gegenbauer conventions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from finitecone.errors import DegenerateParamError, DomainError, UnsupportedDime
 from finitecone.polyalg import MultiPoly
 from finitecone.quadrature import ball_rule
 from finitecone.univariate import coeffs_gegenbauer
+from finitecone.verifier import run_suite
 from oracles import ball_operator_residual
 
 
@@ -108,3 +110,49 @@ def test_operator_residuals():
 def test_mu_validity():
     with pytest.raises(ValidityError):
         ball_basis(2, -0.5, 1)
+
+
+def _stamped_out(report) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', "", report.to_json())
+
+
+FIRST = (
+    {"family": "cone-M", "d": 3, "mu": 0.5, "p": 40.0, "q": 0.0, "n_max": 5},
+    {"family": "cone-N", "d": 3, "mu": 0.5, "p": 40.0, "n_max": 5},
+    {"family": "cone-L", "d": 3, "mu": 0.5, "beta": 0.0, "n_max": 5},
+    {"family": "cone-M", "d": 1, "mu": 0.5, "p": 40.0, "q": 0.0, "n_max": 5},
+)
+
+
+def test_cached_bases_give_the_cold_reports_and_stay_as_built():
+    ball_basis.cache_clear()
+    cold = [_stamped_out(run_suite("all", desc)) for desc in FIRST]
+    for desc in FIRST:
+        # the same (d, mu) at another p or beta, and in the other convention
+        other = dict(desc, p=60.0) if "p" in desc else dict(desc, beta=0.5)
+        assert run_suite("all", other).passed
+        gegenbauer = dict(desc, convention="paper-gegenbauer")
+        if desc["d"] == 1:
+            assert run_suite("all", gegenbauer).passed
+        else:
+            with pytest.raises(DomainError, match="d = 1 only"):
+                run_suite("all", gegenbauer)
+    assert [_stamped_out(run_suite("all", desc)) for desc in FIRST] == cold
+    assert ball_basis.cache_info().hits > 0
+    keys = [(3, m, "orthonormal") for m in range(6)]
+    keys += [(1, m, convention) for m in range(6) for convention in ("orthonormal", "paper-gegenbauer")]
+    for d, m, convention in keys:
+        cached = ball_basis(d, 0.5, m, convention).elements
+        fresh = ball_basis.__wrapped__(d, 0.5, m, convention).elements
+        assert len(cached) == len(fresh)
+        for el, new in zip(cached, fresh):
+            assert el.poly == new.poly and el.homogeneous == new.homogeneous
+
+
+def test_ball_bases_are_built_once_per_process_and_arguments():
+    ball_basis.cache_clear()
+    basis = ball_basis(2, 0.75, 3, "orthonormal")
+    assert ball_basis(2, 0.75, 3, "orthonormal") is basis
+    assert ball_basis(2, 0.75, 3, "orthonormal").elements[0].homogeneous is basis.elements[0].homogeneous
+    assert ball_basis.cache_info().misses == 1
+    assert ball_basis.cache_info().maxsize == 256

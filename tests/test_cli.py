@@ -251,6 +251,20 @@ def test_huge_parameter_outside_the_jacobi_rules_exits_2_naming_it(capsys, argv,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "cone-M", "-q", "0", "--suite", "ode"),
+        ("--family", "cone-N", "--suite", "diffdiff"),
+    ],
+)
+def test_huge_p_in_the_solid_identities_exits_2_naming_it(capsys, argv):
+    code, _, err = run_cli(capsys, "verify", *argv, "-d", "2", "--mu", "0.5", "-p", "1e300", "-n", "2")
+    assert code == 2
+    assert "p = 1e+300 is too large" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_threshold(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--family", "uni-N", "-p", "20", "-n", "2",

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from finitecone import univariate
 from finitecone.cone_solid import cone_sample_grid
 from finitecone.cone_surface import (
     SurfaceParams,
@@ -196,18 +195,13 @@ def test_laguerre_surface_ode():
         laguerre_surface_ode_residual(SurfaceParams(1, "L", beta=-1.0), 1, 0)
 
 
-def test_laguerre_surface_ode_rows_build_each_radial_once(monkeypatch):
-    calls = []
-    orig = univariate.coeffs_laguerre
-
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(univariate, "coeffs_laguerre", counted)
+def test_laguerre_surface_ode_rows_build_each_radial_once(chain_steps):
+    # one chain per m = 0 .. 4, reaching degree 4 - m, so the 15 radials
+    # (n, m) are computed once each: steps for degrees 2 .. 4 - m
+    chains = chain_steps("_laguerre_chain")
     rep = run_suite("ode", {"family": "surf-L", "d": 2, "beta": -1.0, "n_max": 4})
     assert rep.passed and len(rep.checks) == 15
-    assert len(calls) == len(set(calls)) == 15
+    assert chains == [[2, 3, 4], [2, 3], [2], [], []]
 
 
 def test_harmonic_split_matches_dimension():

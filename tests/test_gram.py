@@ -88,6 +88,7 @@ def test_cone_gram_composes_no_ball_polynomial(monkeypatch, d):
             return orig(*args)
         return counted
 
+    ball.ball_basis.cache_clear()  # no element of an earlier test carries its poly in
     for owner, name in ((ball, "_compose_radial"), (ball, "homogenize"), (polyalg, "homogenize")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     desc = {"family": "cone-M", "d": d, "mu": 0.75, "p": 40.0, "q": 0.0, "n_max": 5}

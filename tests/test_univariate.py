@@ -3,12 +3,17 @@ agreement, norms against quadrature oracles, differential identities,
 derivative shifts, and the Laguerre limit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from finitecone.errors import DegenerateParamError, ValidityError
+from finitecone.cone_solid import ConeFamilyParams
+from finitecone.cone_surface import SurfaceParams
+from finitecone.errors import DegenerateParamError, FiniteConeError, ValidityError
 from finitecone.quadrature import WeightInvExp, WeightMPQ
 from finitecone.unipoly import UniPoly
 from finitecone.univariate import (
@@ -36,7 +41,7 @@ from finitecone.univariate import (
     ode_residual_n,
 )
 from finitecone.verifier import convergence_fit
-from oracles import norm_laguerre
+from oracles import coeffs_laguerre_loop, coeffs_m_loop, coeffs_n_loop, norm_laguerre
 
 
 def sample_m(n, p, q):
@@ -315,3 +320,59 @@ def test_max_degree_property():
     assert MParams(12.0, 0.0).max_degree == 5
     assert MParams(13.0, 0.0).max_degree == 5  # p = 2N+1 not allowed at N = 6
     assert NParams(14.0).max_degree == 6
+
+
+def _outcome(build):
+    """build()'s coefficients, or the type and message of its library error."""
+    try:
+        return build().coeffs
+    except FiniteConeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["M", "N", "L"]),
+    d=st.integers(1, 3),
+    surface=st.booleans(),
+    mu=st.floats(-0.45, 2.0),
+    # integer p makes some shifted denominators vanish
+    p=st.one_of(st.floats(2.0, 400.0), st.integers(3, 40).map(float)),
+    shape=st.floats(-0.5, 3.0),
+    requests=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), min_size=1, max_size=12),
+)
+def test_the_radial_chain_matches_the_old_loop(family, d, surface, mu, p, shape, requests):
+    # a bundle's radials, asked for in any order, and the one-shot builders
+    # give the loop's coefficients bit for bit, or raise its error
+    if surface:
+        params = SurfaceParams(d, family, p=p, q=shape, beta=shape)
+    else:
+        params = ConeFamilyParams(d, mu, family, p=p, q=shape, beta=shape)
+    oracle = {"M": coeffs_m_loop, "N": coeffs_n_loop, "L": coeffs_laguerre_loop}[family]
+    build = {"M": coeffs_m, "N": coeffs_n, "L": coeffs_laguerre}[family]
+    for a, b in requests:
+        n, m = max(a, b), min(a, b)
+        shifted = params._shifted(m)
+        want = _outcome(lambda: oracle(n - m, shifted))
+        assert _outcome(lambda: params.radial(n, m)) == want
+        assert _outcome(lambda: build(n - m, shifted)) == want
+
+
+def test_a_vanishing_denominator_is_raised_again_for_every_later_degree():
+    # the surface shift c = 1 puts the m = 0 chain at p = 5, whose step 4
+    # divides by p - 5: degrees up to 4 exist, every later one raises
+    params = SurfaceParams(2, "N", p=6.0)
+    message = re.escape("recurrence denominator vanishes at step 4: p = 5.0")
+    assert params.radial(4, 0) == coeffs_n_loop(4, NParams(5.0))
+    for n in (5, 5, 7):
+        with pytest.raises(DegenerateParamError, match=message):
+            params.radial(n, 0)
+    assert params.radial(3, 0) == coeffs_n_loop(3, NParams(5.0))
+    for _ in range(2):
+        with pytest.raises(DegenerateParamError, match=message):
+            coeffs_n(6, NParams(5.0))
+    # a Laguerre chain below alpha > -1 raises on every request
+    lag = ConeFamilyParams(1, -0.45, "L", beta=-0.2)
+    for _ in range(2):
+        with pytest.raises(ValidityError, match=re.escape("requires alpha > -1")):
+            lag.radial(0, 0)

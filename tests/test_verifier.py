@@ -314,6 +314,21 @@ def test_huge_parameters_outside_the_jacobi_rules_are_a_domain_error_naming_them
 
 
 @pytest.mark.parametrize(
+    "suite,desc",
+    [
+        ("ode", {"family": "cone-M", "d": 2, "mu": 0.5, "p": 1e300, "q": 0.0, "n_max": 2}),
+        ("diffdiff", {"family": "cone-N", "d": 2, "mu": 0.5, "p": 1e300, "n_max": 2}),
+    ],
+)
+def test_huge_p_in_the_solid_identities_is_a_domain_error_naming_it(suite, desc):
+    # the radial coefficients overflow to inf and nan, and the block product
+    # reported NaN and 7e283 rows with a RuntimeWarning
+    for probe in (False, True):
+        with pytest.raises(DomainError, match=re.escape("p = 1e+300 is too large")):
+            run_suite(suite, dict(desc, probe=probe))
+
+
+@pytest.mark.parametrize(
     "desc,inequality",
     [
         ({"family": "cone-M", "d": 2, "mu": 1.0, "p": 30.0, "q": -4.5, "n_max": 2}, "q > -2*mu - d"),
@@ -385,13 +400,13 @@ def _count_calls(monkeypatch, owner, name):
 )
 def test_operators_and_ball_bases_are_built_once_per_suite(suite, desc, monkeypatch):
     specs = _count_calls(monkeypatch, OperatorSpec, "from_pseudo")
-    balls = _count_calls(monkeypatch, ball, "ball_basis")
+    ball.ball_basis.cache_clear()
     rep = run_suite(suite, desc)
     assert rep.passed
     elements = [c for c in rep.checks if c.name.startswith(f"{suite}/n")]
     assert len(elements) == 126  # every element of degree <= 5 at d = 3
     assert len(specs) <= 2
-    assert len(balls) <= desc["n_max"] + 1
+    assert ball.ball_basis.cache_info().misses <= desc["n_max"] + 1
 
 
 @pytest.mark.parametrize(
@@ -473,12 +488,27 @@ def test_harmonics_are_built_once_per_d_and_m(monkeypatch):
          "coeffs_m_rodrigues", 6 + 5 + 4 + 3),
     ],
 )
-def test_each_radial_factor_is_built_once_per_bundle(suite, desc, builder, builds, monkeypatch):
+def test_each_radial_factor_is_built_once_per_bundle(suite, desc, builder, builds, monkeypatch,
+                                                     chain_steps):
     """A bundle and its p - 2 companion build each radial factor once per
-    (n, m) and construction path, however many elements and checks read it."""
-    calls = _count_calls(monkeypatch, univariate, builder)
+    (n, m) and construction path, however many elements and checks read it:
+    a Rodrigues factor by one call, a recurrence factor (builder coeffs_n)
+    as a member of the one chain its bundle runs for its m."""
+    if builder == "coeffs_m_rodrigues":
+        calls = _count_calls(monkeypatch, univariate, builder)
+        assert run_suite(suite, desc).passed
+        assert len(calls) == builds
+        return
+    chains = chain_steps("_n_chain")
     assert run_suite(suite, desc).passed
-    assert len(calls) == builds
+    # the bundle's chain of each m = 0 .. n_max reaches degree n_max - m, the
+    # companion's of each m = 0 .. n_max - 1 degree n_max - 1 - m; a chain
+    # starts with degrees 0 and 1, and its steps compute degrees 2, 3, ... once
+    n_max = desc["n_max"]
+    tops = [n_max - m for m in range(n_max + 1)] + [n_max - 1 - m for m in range(n_max)]
+    assert sorted(len(degrees) for degrees in chains) == sorted(max(0, top - 1) for top in tops)
+    assert all(degrees == list(range(2, len(degrees) + 2)) for degrees in chains)
+    assert sum(top + 1 for top in tops) == builds
 
 
 # in-window descriptors at the value where each family's eigenvalue
