@@ -3,16 +3,17 @@ family they degenerate to: bases, norms, Gram matrices, operator residuals,
 recurrences, and limit relations.
 
 Every cone element factorizes as radial(t) times the homogenization
-t^m P(x/t) of a ball basis element of degree m.  All operator and
-recurrence checks are coefficient-wise polynomial identities via polyalg;
-quadrature enters only through the Gram matrices.
+t^m P(x/t) of a ball basis element of degree m.  The operator checks are
+coefficient-wise polynomial identities via polyalg; the recurrence and
+limit checks are identities in t alone, with the angular factor divided
+out.  Quadrature enters only through the Gram matrices.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -48,9 +49,9 @@ class ConeFamilyParams(ShiftedRadial):
     built as the p -> inf limit of the M family at q = beta, whose
     identities hold on the M window q > -2*mu - d instead.
 
-    A bundle builds its operator, its p - 2 companion, its radial factors
-    and its recurrence elements once, on first use, and hands the same
-    objects to every later check; ball_basis caches the angular bases.
+    A bundle builds its operator, its p - 2 companion and its radial
+    factors once, on first use, and hands the same objects to every later
+    check; ball_basis caches the angular bases.
     """
 
     d: int
@@ -80,11 +81,6 @@ class ConeFamilyParams(ShiftedRadial):
         """The N family at p - 2, which carries the companion term of the
         difference-differential identity."""
         return ConeFamilyParams(self.d, self.mu, "N", p=self.p - 2.0)
-
-    @cached_property
-    def products(self) -> dict:
-        """recurrence_residual's elements R_k A by (k, m, ball index)."""
-        return {}
 
     def balls(self, m: int, convention: str = "orthonormal") -> tuple:
         """The degree-m ball basis elements (cached per process); each
@@ -406,8 +402,13 @@ def recurrence_coefficients(params: ConeFamilyParams, n: int, m: int, variant: s
     recurrence.  For the M family the two differ in B by the factor
     (p - 2n - 2mu - d) / (p - m - n - 2mu - d); the derived variant is the
     one validated against the Rodrigues oracle (see the repository notes on
-    known-discrepancies).  For the N family both variants coincide.
+    known-discrepancies).  For the N family both variants coincide, and so
+    they do for the L family, whose recurrence is (n - m + 1) element_{n+1}
+    = (2n + beta + 2mu + d - t) element_n - (n + m + beta + 2mu + d - 1)
+    element_{n-1}.
     """
+    if variant not in ("derived", "stated"):
+        raise DomainError(f"unknown variant {variant!r}")
     d, mu = params.d, params.mu
     if params.family == "M":
         p, q = params.p, params.q
@@ -420,8 +421,6 @@ def recurrence_coefficients(params: ConeFamilyParams, n: int, m: int, variant: s
         ) / (p - 2 * mu - d - 2 * n + 1)
         if variant == "derived":
             b *= (p - 2 * n - 2 * mu - d) / (p - m - n - 2 * mu - d)
-        elif variant != "stated":
-            raise DomainError(f"unknown variant {variant!r}")
         c = (
             (n - m) * (p - 2 * mu - d - 2 * n - 1) / (p - m - 2 * mu - d - n)
             * (p + q - n + m) * (d + q + 2 * mu + m + n - 1) / (p - 2 * mu - d - 2 * n + 1)
@@ -440,43 +439,29 @@ def recurrence_coefficients(params: ConeFamilyParams, n: int, m: int, variant: s
             (p - 2 * mu - m - n - d) * (p - 2 * mu - 2 * n - d + 1)
         )
         return a, b, c
-    raise DomainError("recurrence coefficients exist for the M and N families")
+    shape, lead = d + params.beta + 2 * mu, n - m + 1
+    return -1.0 / lead, (shape + 2 * n) / lead, (shape + m + n - 1) / lead
 
 
-def recurrence_residual(
-    params: ConeFamilyParams,
-    n: int,
-    m: int,
-    ball_index: int = 0,
-    variant: str = "derived",
-) -> float:
+def recurrence_residual(params: ConeFamilyParams, n: int, m: int, variant: str = "derived") -> float:
     """Max-abs residual of the total-degree three-term recurrence, relative
-    to the degree-(n+1) element, with Rodrigues-built radial parts."""
+    to the degree-(n+1) element, with Rodrigues-built radial parts (the
+    explicit Laguerre sum for L).
+
+    The three elements R_k A of a row share their angular factor A, a
+    ball element homogenized to degree m, so the residual is r A with
+    r = R_{n+1} - (a t + b) R_n + c R_{n-1}.  A is homogeneous of degree m
+    (dims/homogeneity certifies it), so t^i A and t^j A share no monomial
+    for i != j: every coefficient of r A is a single product r_i A_alpha,
+    and max|r A| / max|R_{n+1} A| = max|r| / max|R_{n+1}|, whichever ball
+    element A is.  So no angular factor is read."""
     if n < m + 1:
         raise DomainError("recurrence check needs n >= m + 1")
     params.require_valid(n + 1)
-    ang = params.balls(m)[ball_index].homogeneous
-    d = params.d
-
-    def elem(k: int) -> MultiPoly:
-        if (k, m, ball_index) not in params.products:
-            radial = params.radial(k, m, "rodrigues")
-            params.products[k, m, ball_index] = MultiPoly.from_unipoly_t(radial, d) * ang
-        return params.products[k, m, ball_index]
-
-    e_prev, e_cur, e_next = elem(n - 1), elem(n), elem(n + 1)
-    t = MultiPoly.var_t(d)
-    if params.family == "L":
-        mu, beta = params.mu, params.beta
-        lhs = e_next.scale(n - m + 1)
-        rhs = e_cur.scale(d + beta + 2 * mu + 2 * n) - t * e_cur - e_prev.scale(
-            d + beta + 2 * mu + m + n - 1
-        )
-        residual = lhs - rhs
-        return residual.rel_residual_against(e_next.scale(n - m + 1))
     a, b, c = recurrence_coefficients(params, n, m, variant)
-    residual = e_next - (t.scale(a) * e_cur + e_cur.scale(b)) + e_prev.scale(c)
-    return residual.rel_residual_against(e_next)
+    prev, cur, nxt = (params.radial(k, m, "rodrigues") for k in (n - 1, n, n + 1))
+    residual = nxt - (cur.shift_up().scale(a) + cur.scale(b)) + prev.scale(c)
+    return residual.rel_residual_against(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +522,6 @@ def cone_sample_grid(d: int) -> np.ndarray:
     return grid
 
 
-def _p_scaled(poly: MultiPoly, p: float, m: int) -> MultiPoly:
-    """p^m f(x/p, t/p): every term of total degree g picks up p^(m-g)."""
-    return MultiPoly(
-        poly.dim_x, {e: c * p ** (m - sum(e)) for e, c in poly.terms.items()}
-    )
-
-
 @dataclass(frozen=True)
 class LimitReport:
     n: int
@@ -553,34 +531,45 @@ class LimitReport:
     exponent: object  # float, or the string "exact"
 
 
-def limit_to_laguerre(
-    params: ConeFamilyParams, n: int, m: int, ball_index: int = 0, p_grid=(1e2, 1e3, 1e4)
+def laguerre_limit(
+    params: ShiftedRadial, n: int, m: int, angular: MultiPoly, grid, p_grid
 ) -> LimitReport:
-    """Deviation between the rescaled M-family element and its Laguerre cone
-    target across a grid of p values, with the fitted 1/p decay exponent."""
+    """Deviation between the rescaled M-family element R A of a cone or
+    surface bundle and its Laguerre target (-1)^(n-m) (n-m)! L A across
+    p_grid, with the fitted 1/p decay exponent; angular is the domain's
+    first degree-m angular factor A and grid its sample points.
+
+    Each element is R(t) A by construction, and A is homogeneous of degree
+    m (dims/homogeneity certifies it for the ball factors; a harmonic is
+    homogeneous in x), so p^m (R A)(x/p, t/p) = R(t/p) A: the deviation is
+    (R(t/p) - target(t)) A at the grid, a difference in t alone."""
     from .verifier import convergence_fit
 
     if params.family != "M":
         raise DomainError("the limit relation starts from the M family")
-    d, mu, q = params.d, params.mu, params.q
-    ang = params.balls(m)[ball_index].homogeneous
-    params.require_shape(q, "q")
-    target_radial = ConeFamilyParams(d, mu, "L", beta=q, limit_target=True).radial(n, m)
+    params.require_shape(params.q, "q")
     sign = -1.0 if (n - m) % 2 else 1.0
-    target = (MultiPoly.from_unipoly_t(target_radial, d) * ang).scale(
-        sign * factorial_real(n - m)
-    )
-    grid = cone_sample_grid(d)
-    target_vals = target.evaluate_many(grid)
+    target = replace(params, family="L", p=None, q=None, beta=params.q).radial(n, m)
+    target = target.scale(sign * factorial_real(n - m))
+    t, angular_vals = grid[:, -1], angular.evaluate_many(grid)
     deviations = []
     for p in p_grid:
-        trial = ConeFamilyParams(d, mu, "M", p=float(p), q=q)
+        trial = replace(params, p=float(p))
         trial.require_valid(n)
-        poly = MultiPoly.from_unipoly_t(trial.radial(n, m), d) * ang
-        scaled = _p_scaled(poly, float(p), m)
-        deviations.append(float(np.max(np.abs(scaled.evaluate_many(grid) - target_vals))))
+        radial = trial.radial(n, m)
+        scaled = UniPoly(tuple(c * float(p) ** (-k) for k, c in enumerate(radial.coeffs)))
+        deviations.append(float(np.max(np.abs((scaled - target)(t) * angular_vals))))
     exponent = convergence_fit(list(zip(p_grid, deviations)))
     return LimitReport(n, m, tuple(float(p) for p in p_grid), tuple(deviations), exponent)
+
+
+def limit_to_laguerre(
+    params: ConeFamilyParams, n: int, m: int, p_grid=(1e2, 1e3, 1e4)
+) -> LimitReport:
+    """laguerre_limit on the solid cone: the angular factor is the first
+    degree-m ball element homogenized, t^m P(x/t)."""
+    angular = params.balls(m)[0].homogeneous
+    return laguerre_limit(params, n, m, angular, cone_sample_grid(params.d), p_grid)
 
 
 def laguerre_cone_checks(

@@ -17,13 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cone_solid import LimitReport, cone_sample_grid
+from .cone_solid import LimitReport, cone_sample_grid, laguerre_limit
 from .errors import DomainError, QNotMinusOneError, UnsupportedDimension
 from .gram import GramResult, separable_gram, sphere_factor, t_factor
 from .harmonics import harmonic_basis
 from .polyalg import MultiPoly
 from .quadrature import Shift, surface_factors, surface_shift
-from .scalars import factorial_real
 from .unipoly import UniPoly
 from .univariate import ShiftedRadial
 
@@ -218,31 +217,10 @@ def surface_sample_grid(d: int) -> np.ndarray:
     return grid
 
 
-def surface_limit_m(
-    params: SurfaceParams, n: int, m: int, l: int = 1, p_grid=(1e2, 1e3, 1e4)
-) -> LimitReport:
-    """Deviation between the radially rescaled M-family surface element and
-    its Laguerre surface target, with fitted decay exponent."""
-    from .verifier import convergence_fit
-
-    if params.family != "M":
-        raise DomainError("the limit relation starts from the M family")
-    d, q = params.d, params.q
+def surface_limit_m(params: SurfaceParams, n: int, m: int, p_grid=(1e2, 1e3, 1e4)) -> LimitReport:
+    """laguerre_limit on the conic surface: the angular factor is the
+    first degree-m harmonic Y_{m,1}."""
     harm = params.harmonics(m)
-    if not harm or l > len(harm):
-        raise DomainError(f"no harmonic index {l} at degree {m} for d = {d}")
-    y = harm[l - 1]
-    params.require_shape(q, "q")
-    sign = -1.0 if (n - m) % 2 else 1.0
-    target_radial = SurfaceParams(d, "L", beta=q).radial(n, m).scale(sign * factorial_real(n - m))
-    grid = surface_sample_grid(d)
-    deviations = []
-    for p in p_grid:
-        trial = SurfaceParams(d, "M", p=float(p), q=q)
-        trial.require_valid(n)
-        radial = trial.radial(n, m)
-        scaled = UniPoly(tuple(c * float(p) ** (-k) for k, c in enumerate(radial.coeffs)))
-        diff = MultiPoly.from_unipoly_t(scaled - target_radial, d) * y
-        deviations.append(float(np.max(np.abs(diff.evaluate_many(grid)))))
-    exponent = convergence_fit(list(zip(p_grid, deviations)))
-    return LimitReport(n, m, tuple(float(p) for p in p_grid), tuple(deviations), exponent)
+    if not harm:
+        raise DomainError(f"no harmonic index 1 at degree {m} for d = {params.d}")
+    return laguerre_limit(params, n, m, harm[0], surface_sample_grid(params.d), p_grid)

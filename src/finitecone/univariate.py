@@ -6,9 +6,10 @@ The finite families come with two independent construction paths:
 * the three-term recurrence (primary evaluation path), and
 * the Rodrigues formula expanded term by term (oracle path).
 
-Both are exposed so every identity can be cross-checked.  Norm formulas read
-real-argument factorials as Gamma(x+1) and are evaluated in log space, so
-parameter values in the hundreds stay representable.
+Both are exposed so every identity can be cross-checked; the Laguerre
+family's oracle is its explicit sum.  The norms take Gamma ratios only at
+integer offsets, so they are finite products of per-step quotients, which
+stay in range and accurate however large the parameters are.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .errors import DegenerateParamError, DomainError, ValidityError
 from .quadrature import Shift, WeightGammaExp, WeightInvExp, WeightMPQ
-from .scalars import factorial_real, gamma_fn, gamma_ratio, pochhammer
+from .scalars import factorial_real, gamma_fn, pochhammer
 from .unipoly import UniPoly, fsum_build
 
 
@@ -211,22 +212,22 @@ def coeffs_n_rodrigues(n: int, params: NParams) -> UniPoly:
 
 
 def norm_m(n: int, params: MParams) -> float:
-    """Norm square h_n under the normalized first-class inner product."""
+    """Norm square h_n under the normalized first-class inner product,
+    n! (q+1)_n Gamma(p-n) Gamma(p+q) / (Gamma(p-1) Gamma(p+q-n) (p-2n-1)),
+    as a product of one quotient per step."""
     params.require_valid(n)
     p, q = params.p, params.q
-    return (
-        factorial_real(n)
-        * pochhammer(q + 1.0, n)
-        * gamma_ratio([p - n, p + q], [p - 1, p + q - n])
-        / (p - 2 * n - 1)
-    )
+    steps = range(1, n + 1)
+    return (p - 1) / (p - 2 * n - 1) * math.prod(j * (q + j) / (p - j) * (p + q - j) for j in steps)
 
 
 def norm_n(n: int, params: NParams) -> float:
-    """Norm square h_n under the normalized second-class inner product."""
+    """Norm square h_n under the normalized second-class inner product,
+    n! Gamma(p-n) / (Gamma(p-1) (p-2n-1)), as a product of one quotient
+    per step."""
     params.require_valid(n)
     p = params.p
-    return factorial_real(n) * gamma_ratio([p - n], [p - 1]) / (p - 2 * n - 1)
+    return (p - 1) / (p - 2 * n - 1) * math.prod(j / (p - j) for j in range(1, n + 1))
 
 
 def ode_residual_m(n: int, params: MParams) -> UniPoly:
@@ -377,12 +378,13 @@ class ShiftedRadial:
 
     def radial(self, n: int, m: int, source: str = "recurrence") -> UniPoly:
         """Radial factor of the degree-n element of angular degree m, by the
-        recurrence or, for M and N, by the Rodrigues oracle (source
-        "rodrigues"; the L family has only the recurrence).  A bundle runs
-        one chain per m and builds each Rodrigues factor once."""
-        if source == "rodrigues" and self.family != "L":
+        recurrence or by the oracle (source "rodrigues": the Rodrigues
+        expansion for M and N, the explicit sum for L).  A bundle runs one
+        chain per m and builds each oracle factor once."""
+        if source == "rodrigues":
             if (n, m) not in self._rodrigues:
-                build = coeffs_m_rodrigues if self.family == "M" else coeffs_n_rodrigues
+                build = {"M": coeffs_m_rodrigues, "N": coeffs_n_rodrigues,
+                         "L": coeffs_laguerre_explicit}[self.family]
                 self._rodrigues[n, m] = build(n - m, self._shifted(m))
             return self._rodrigues[n, m]
         if m not in self._chains:
@@ -404,17 +406,19 @@ class ShiftedRadial:
         """Norm square of a degree-n element of angular degree m with an
         orthonormal angular factor: the univariate norm at the shifted
         parameters times the Gamma ratio of the shifted weights'
-        normalizations at 0 and at m.  Computed once per bundle."""
+        normalizations at 0 and at m, whose arguments differ by 2m, taken
+        as a product of 2m quotients.  Computed once per bundle."""
         if (m, n) in self._norms:
             return self._norms[m, n]
         self.require_valid(n)
-        a, b = self._shifted(0), self._shifted(m)
+        a, b, steps = self._shifted(0), self._shifted(m), range(1, 2 * m + 1)
         if self.family == "M":
-            norm = gamma_ratio([b.p - 1, b.q + 1], [a.p - 1, a.q + 1]) * norm_m(n - m, b)
+            norm = math.prod((a.q + j) / (a.p - 1 - j) for j in steps) * norm_m(n - m, b)
         elif self.family == "N":
-            norm = gamma_ratio([b.p - 1], [a.p - 1]) * norm_n(n - m, b)
+            norm = math.prod(1 / (a.p - 1 - j) for j in steps) * norm_n(n - m, b)
         else:
-            norm = gamma_ratio([b + 1], [a + 1]) * pochhammer(b + 1, n - m) / factorial_real(n - m)
+            norm = math.prod(a + j for j in steps) * pochhammer(b + 1, n - m)
+            norm /= factorial_real(n - m)
         self._norms[m, n] = norm
         return norm
 
@@ -490,6 +494,19 @@ def eval_laguerre(n: int, alpha: float, t: float) -> float:
 
 def coeffs_laguerre(n: int, alpha: float) -> UniPoly:
     return _laguerre_chain(alpha)[n]
+
+
+def coeffs_laguerre_explicit(n: int, alpha: float) -> UniPoly:
+    """Laguerre coefficients from the explicit sum, the oracle the chain
+    is checked against: coefficient j is (-1)^j (alpha+j+1)_(n-j) /
+    ((n-j)! j!), a single product with no cancellation."""
+    if alpha <= -1:
+        raise ValidityError("alpha > -1", f"alpha = {alpha}")
+    return UniPoly(
+        (-1.0 if j % 2 else 1.0) * pochhammer(alpha + j + 1, n - j)
+        / (math.factorial(n - j) * math.factorial(j))
+        for j in range(n + 1)
+    )
 
 
 def _require_gegenbauer(m: int, mu: float) -> None:

@@ -163,3 +163,73 @@ def coeffs_laguerre_loop(n, alpha):
         )
         prev, cur = cur, nxt
     return cur
+
+
+def recurrence_residual_multiplied(params, n, m, variant="derived"):
+    """The cone recurrence row the way it was computed before the angular
+    factor was divided out: each of the three elements R_k A multiplied
+    out (A the first degree-m ball element homogenized), the residual
+    formed in (x, t) space and taken relative to the degree-(n+1) element."""
+    from finitecone.cone_solid import recurrence_coefficients
+
+    params.require_valid(n + 1)
+    ang = params.balls(m)[0].homogeneous
+    d = params.d
+    e_prev, e_cur, e_next = (
+        MultiPoly.from_unipoly_t(params.radial(k, m, "rodrigues"), d) * ang
+        for k in (n - 1, n, n + 1)
+    )
+    t = MultiPoly.var_t(d)
+    if params.family == "L":
+        mu, beta = params.mu, params.beta
+        lhs = e_next.scale(n - m + 1)
+        rhs = e_cur.scale(d + beta + 2 * mu + 2 * n) - t * e_cur - e_prev.scale(
+            d + beta + 2 * mu + m + n - 1
+        )
+        return (lhs - rhs).rel_residual_against(e_next.scale(n - m + 1))
+    a, b, c = recurrence_coefficients(params, n, m, variant)
+    residual = e_next - (t.scale(a) * e_cur + e_cur.scale(b)) + e_prev.scale(c)
+    return residual.rel_residual_against(e_next)
+
+
+def limit_deviations_cone(params, n, m, p_grid=(1e2, 1e3, 1e4)):
+    """The solid-cone limit deviations the way they were computed before
+    the angular factor was divided out: p^m (R_p A)(x/p, t/p) multiplied
+    out term by term, and the multiplied-out target (-1)^(n-m) (n-m)! L A,
+    each evaluated at the sample grid."""
+    from finitecone.cone_solid import ConeFamilyParams, cone_sample_grid
+
+    d, mu, q = params.d, params.mu, params.q
+    ang = params.balls(m)[0].homogeneous
+    target_radial = ConeFamilyParams(d, mu, "L", beta=q, limit_target=True).radial(n, m)
+    sign = -1.0 if (n - m) % 2 else 1.0
+    target = (MultiPoly.from_unipoly_t(target_radial, d) * ang).scale(sign * factorial_real(n - m))
+    grid = cone_sample_grid(d)
+    target_vals = target.evaluate_many(grid)
+    deviations = []
+    for p in p_grid:
+        trial = ConeFamilyParams(d, mu, "M", p=float(p), q=q)
+        poly = MultiPoly.from_unipoly_t(trial.radial(n, m), d) * ang
+        scaled = MultiPoly(d, {e: c * float(p) ** (m - sum(e)) for e, c in poly.terms.items()})
+        deviations.append(float(np.max(np.abs(scaled.evaluate_many(grid) - target_vals))))
+    return deviations
+
+
+def limit_deviations_surface(params, n, m, p_grid=(1e2, 1e3, 1e4)):
+    """The conic-surface limit deviations the way they were computed on
+    their own: the scaled radial factor minus the target, lifted to (x, t),
+    multiplied by the first degree-m harmonic and evaluated at the grid."""
+    from finitecone.cone_surface import SurfaceParams, surface_sample_grid
+
+    d, q = params.d, params.q
+    y = params.harmonics(m)[0]
+    sign = -1.0 if (n - m) % 2 else 1.0
+    target_radial = SurfaceParams(d, "L", beta=q).radial(n, m).scale(sign * factorial_real(n - m))
+    grid = surface_sample_grid(d)
+    deviations = []
+    for p in p_grid:
+        radial = SurfaceParams(d, "M", p=float(p), q=q).radial(n, m)
+        scaled = UniPoly(tuple(c * float(p) ** (-k) for k, c in enumerate(radial.coeffs)))
+        diff = MultiPoly.from_unipoly_t(scaled - target_radial, d) * y
+        deviations.append(float(np.max(np.abs(diff.evaluate_many(grid)))))
+    return deviations

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitecone import univariate
 from finitecone.cone_solid import (
     ConeFamilyParams,
     cone_basis,
@@ -26,6 +27,7 @@ from finitecone.cone_solid import (
     recurrence_residual,
     solid_m_operator,
 )
+from finitecone.cone_surface import SurfaceParams, surface_limit_m
 from finitecone.errors import (
     DegenerateParamError,
     DomainError,
@@ -34,7 +36,14 @@ from finitecone.errors import (
 )
 from finitecone.polyalg import MultiPoly, apply_operator
 from finitecone.quadrature import cone_rule
-from oracles import element_residual
+from finitecone.unipoly import UniPoly
+from finitecone.verifier import run_suite
+from oracles import (
+    element_residual,
+    limit_deviations_cone,
+    limit_deviations_surface,
+    recurrence_residual_multiplied,
+)
 
 
 def mp(d=1, mu=0.5, p=30.0, q=0.0):
@@ -265,6 +274,9 @@ def test_recurrence_preconditions():
         recurrence_residual(params, 1, 1)  # needs n >= m + 1
     with pytest.raises(ValidityError):
         recurrence_residual(mp(p=10.0), 4, 0)  # n + 1 leaves the window
+    for bundle in (params, np_params(d=2, p=40.0), ConeFamilyParams(2, 0.5, "L", beta=0.0)):
+        with pytest.raises(DomainError, match="unknown variant 'bogus'"):
+            recurrence_residual(bundle, 2, 0, variant="bogus")
     # inside the validity window the recurrence denominators are bounded
     # away from zero, so the degeneracy guard only fires through the raw
     # coefficient interface
@@ -272,6 +284,85 @@ def test_recurrence_preconditions():
 
     with pytest.raises(DegenerateParamError):
         recurrence_coefficients(mp(p=2 + 0 + 2 * 0.5 + 1.0), 2, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from("MNL"),
+    st.integers(1, 3),
+    st.sampled_from(["derived", "stated"]),
+    st.floats(-0.45, 2.5).filter(lambda mu: abs(mu) >= 0.05),
+    st.floats(0.05, 60.0),
+    st.floats(0.05, 4.0),
+    st.integers(1, 8),
+    st.integers(0, 7),
+)
+def test_factored_recurrence_rows_match_the_multiplied_out_elements(
+    family, d, variant, mu, margin, shape, n, m
+):
+    # r A with r the univariate residual against R_k A multiplied out: the
+    # coefficients of r A are single products, so only the rounding of the
+    # multiplied-out sums separates the two
+    m = min(m, n - 1)
+    edge = -2 * mu - d  # the q window, and beta's when mu < 0
+    params = ConeFamilyParams(
+        d, mu, family,
+        p=None if family == "L" else 2 * (n + 1) + 2 * mu + d + margin,
+        q=edge + shape if family == "M" else None,
+        beta=max(edge, -d) + shape if family == "L" else None,
+    )
+    want = recurrence_residual_multiplied(params, n, m, variant)
+    assert abs(recurrence_residual(params, n, m, variant=variant) - want) <= 4e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(1, 3),
+    st.floats(-0.45, 2.5).filter(lambda mu: abs(mu) >= 0.05),
+    st.floats(0.05, 4.0),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_factored_limit_rows_match_the_per_domain_references(surface, d, mu, shape, n, m):
+    # (R(t/p) - target) A at the grid against the two references.  The cone
+    # reference subtracts two evaluations of size |L A|, whose rounding grows
+    # with n: at n = 8 it reaches 2e-11 of the deviation at p = 1e4, against
+    # 4e-12 up to n = 5; the verifier's limit rows stop at n = 3
+    m = min(m, n, 1 if surface and d == 1 else n)
+    if surface:
+        params = SurfaceParams(d, "M", p=50.0, q=-d + shape)
+        rep, want = surface_limit_m(params, n, m), limit_deviations_surface(params, n, m)
+    else:
+        params = ConeFamilyParams(d, mu, "M", p=50.0, q=-2 * mu - d + shape)
+        rep, want = limit_to_laguerre(params, n, m), limit_deviations_cone(params, n, m)
+    assert rep.deviations == pytest.approx(want, rel=1e-11, abs=0.0)
+    if n == m:
+        assert rep.exponent == "exact"
+
+
+def test_the_laguerre_recurrence_rows_have_an_oracle_of_their_own(monkeypatch):
+    # a chain with a wrong first member still satisfies its own step, so
+    # recurrence rows built on its members would pass; the rows read the
+    # explicit sum, which the chain does not build, and the ode rows, which
+    # read the chain, catch the wrong member
+    desc = {"family": "cone-L", "d": 2, "mu": 0.5, "beta": 0.0, "n_max": 6}
+    pairs = [(n, m) for n in range(1, 7) for m in range(n)]
+    params = ConeFamilyParams(2, 0.5, "L", beta=0.0)
+    want = {(n, m): params.radial(n, m, "rodrigues") for n, m in pairs}
+
+    chain = univariate._laguerre_chain
+
+    def wrong_chain(alpha):  # the library's step from P_1 = (alpha + 1.5) - t
+        return univariate._Chain(UniPoly((alpha + 1.5, -1.0)), chain(alpha).step)
+
+    monkeypatch.setattr(univariate, "_laguerre_chain", wrong_chain)
+    mutated = ConeFamilyParams(2, 0.5, "L", beta=0.0)
+    for n, m in pairs:
+        assert mutated.radial(n, m, "rodrigues") == want[n, m]
+        assert mutated.radial(n, m) != want[n, m]
+    assert run_suite("recurrence", desc).passed
+    assert not run_suite("ode", desc).passed
 
 
 def test_limit_reports():

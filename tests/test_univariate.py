@@ -5,6 +5,7 @@ derivative shifts, and the Laguerre limit."""
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from finitecone.univariate import (
     ode_residual_m,
     ode_residual_n,
 )
-from finitecone.verifier import convergence_fit
+from finitecone.verifier import convergence_fit, run_suite
 from oracles import coeffs_laguerre_loop, coeffs_m_loop, coeffs_n_loop, norm_laguerre
 
 
@@ -157,6 +158,46 @@ def test_norm_n_values_and_validity():
     assert norm_n(1, NParams(10)) == pytest.approx(1.0 / 7.0, rel=1e-13)
     with pytest.raises(ValidityError):
         norm_n(3, NParams(7))
+
+
+def test_norms_at_large_p_keep_full_precision():
+    # Gamma(p - n) / Gamma(p - 1) as exp(lgamma - lgamma) lost 2.7e-7 at
+    # p = 1e8, where norm_n(0) is exactly 1
+    assert norm_n(0, NParams(1e8)) == 1.0
+    assert run_suite("gram", {"family": "uni-N", "p": 1e8, "n_max": 0}).passed
+    with mpmath.workdps(40):
+        gamma, fact = mpmath.gamma, mpmath.factorial
+        for p in (40.5, 1e5, 1e8, 1e12):
+            for q in (-0.5, 0.0, 2.25):
+                for n in range(5):
+                    mp_, np_ = mpmath.mpf(p), mpmath.mpf(q)
+                    want = (fact(n) * mpmath.rf(np_ + 1, n) * gamma(mp_ - n) * gamma(mp_ + np_)
+                            / (gamma(mp_ - 1) * gamma(mp_ + np_ - n) * (mp_ - 2 * n - 1)))
+                    assert norm_m(n, MParams(p, q)) == pytest.approx(float(want), rel=1e-14)
+                    want = fact(n) * gamma(mp_ - n) / (gamma(mp_ - 1) * (mp_ - 2 * n - 1))
+                    assert norm_n(n, NParams(p)) == pytest.approx(float(want), rel=1e-14)
+        # a bundle's norm: its shifted weights' normalization ratio times the
+        # univariate norm at the shifted parameters, degree k = n - m
+        bundles = (ConeFamilyParams(2, 0.5, "M", p=1e8, q=0.5),
+                   ConeFamilyParams(2, 0.5, "N", p=1e8),
+                   ConeFamilyParams(2, 0.5, "L", beta=1e8),
+                   SurfaceParams(3, "N", p=1e8))
+        for bundle in bundles:
+            c = bundle.shift.c
+            p, q, beta = (mpmath.mpf(v or 0) for v in (bundle.p, bundle.q, bundle.beta))
+            for n in range(4):
+                for m in range(n + 1):
+                    k, a, b = n - m, p - c - 2 * m, q + c + 2 * m
+                    if bundle.family == "M":
+                        want = (gamma(b + 1) * fact(k) * mpmath.rf(b + 1, k) * gamma(a - k)
+                                * gamma(a + b) / (gamma(q + c + 1) * gamma(p - c - 1)
+                                                  * gamma(a + b - k) * (a - 2 * k - 1)))
+                    elif bundle.family == "N":
+                        want = fact(k) * gamma(a - k) / (gamma(p - c - 1) * (a - 2 * k - 1))
+                    else:
+                        b = beta + c + 2 * m
+                        want = gamma(b + 1) * mpmath.rf(b + 1, k) / (gamma(beta + c + 1) * fact(k))
+                    assert bundle.norm(m, n) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_norms_against_quadrature_oracle():
